@@ -5,14 +5,10 @@
 
 #include <benchmark/benchmark.h>
 
-#include <dirent.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <thread>
 
 #include "engine/engine.h"
@@ -297,115 +293,6 @@ void RunParallelSweepAndWriteJson(const char* path) {
   std::printf("wrote %s\n", path);
 }
 
-/// Checkpoint overhead at the default 10k-event interval: the same stream is
-/// driven through identical engines with checkpointing off, with the
-/// background writer (the production configuration), and with synchronous
-/// writes (the worst case, for scale). Written as machine-readable JSON so
-/// CI can hold the async overhead under the 5% budget.
-void RunCheckpointOverheadAndWriteJson(const char* path) {
-  BikeFixture fixture;
-  NfaPtr nfa = CompileBikeQuery(
-      fixture.registry,
-      "PATTERN SEQ(req a, unlock c) WHERE c.uid = a.uid WITHIN 10 min");
-  constexpr int kEvents = 60000;
-  constexpr size_t kInterval = 10000;
-  constexpr int kRepetitions = 5;
-
-  // Pre-generate the stream: one event per second, uids cycling so runs are
-  // created, matched, and expired at a steady live population.
-  std::vector<EventPtr> events;
-  events.reserve(kEvents);
-  Timestamp ts = kMinute;
-  for (int i = 0; i < kEvents; ++i) {
-    ts += kSecond;
-    if (i % 2 == 0) {
-      events.push_back(fixture.MakeReq(ts, i % 7, i % 211));
-    } else {
-      events.push_back(fixture.MakeUnlock(ts, i % 7, (i - 1) % 211));
-    }
-  }
-
-  char dir_template[] = "/tmp/bench_ckpt_XXXXXX";
-  char* tmp_dir = mkdtemp(dir_template);
-  if (tmp_dir == nullptr) {
-    std::fprintf(stderr, "mkdtemp failed; skipping checkpoint bench\n");
-    return;
-  }
-  auto clean_dir = [&] {
-    DIR* dir = opendir(tmp_dir);
-    if (dir == nullptr) return;
-    while (dirent* entry = readdir(dir)) {
-      if (std::strcmp(entry->d_name, ".") == 0 ||
-          std::strcmp(entry->d_name, "..") == 0) {
-        continue;
-      }
-      std::string full = std::string(tmp_dir) + "/" + entry->d_name;
-      std::remove(full.c_str());
-    }
-    closedir(dir);
-  };
-
-  struct Row {
-    const char* mode;
-    double events_per_sec;
-  };
-  std::vector<Row> rows;
-  for (const char* mode : {"off", "async", "sync"}) {
-    double best = 0.0;
-    for (int rep = 0; rep < kRepetitions; ++rep) {
-      clean_dir();
-      EngineOptions options;
-      // Streaming configuration: matches are delivered, not retained, so a
-      // snapshot carries live runs rather than the full match history. A
-      // match-retaining engine pays serialization proportional to what it
-      // retains, which is not the hot path this budget guards.
-      options.collect_matches = false;
-      if (std::strcmp(mode, "off") != 0) {
-        options.checkpoint.directory = tmp_dir;
-        options.checkpoint.interval_events = kInterval;
-        options.checkpoint.keep = 1;
-        options.checkpoint.synchronous = std::strcmp(mode, "sync") == 0;
-      }
-      Engine engine(nfa, options);
-      const auto t0 = std::chrono::steady_clock::now();
-      for (const EventPtr& event : events) {
-        (void)engine.OfferEvent(event);
-      }
-      (void)engine.FlushCheckpoints();
-      const double secs =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      best = std::max(best, kEvents / secs);
-    }
-    rows.push_back({mode, best});
-  }
-  clean_dir();
-  rmdir(tmp_dir);
-
-  const double baseline = rows.front().events_per_sec;
-  std::FILE* out = std::fopen(path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", path);
-    return;
-  }
-  std::fprintf(out,
-               "{\n  \"benchmark\": \"checkpoint_overhead\",\n"
-               "  \"events\": %d,\n  \"interval_events\": %zu,\n"
-               "  \"repetitions\": %d,\n  \"results\": [\n",
-               kEvents, kInterval, kRepetitions);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    std::fprintf(out,
-                 "    {\"mode\": \"%s\", \"events_per_sec\": %.1f, "
-                 "\"overhead_pct\": %.2f}%s\n",
-                 rows[i].mode, rows[i].events_per_sec,
-                 100.0 * (1.0 - rows[i].events_per_sec / baseline),
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", path);
-}
-
 }  // namespace cep
 
 int main(int argc, char** argv) {
@@ -414,6 +301,5 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   cep::RunParallelSweepAndWriteJson("BENCH_parallel.json");
-  cep::RunCheckpointOverheadAndWriteJson("BENCH_ckpt.json");
   return 0;
 }

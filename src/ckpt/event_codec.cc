@@ -1,55 +1,157 @@
 #include "ckpt/event_codec.h"
 
+#include <algorithm>
+#include <cstring>
 #include <utility>
+
+#include "common/hash.h"
 
 namespace cep {
 namespace ckpt {
 
-uint32_t EventTableBuilder::InternSchema(const EventSchema& schema) {
-  Sink record;
-  record.WriteString(schema.name());
-  record.WriteU32(static_cast<uint32_t>(schema.num_attributes()));
-  for (const auto& attr : schema.attributes()) {
-    record.WriteString(attr.name);
-    record.WriteU8(static_cast<uint8_t>(attr.type));
+namespace {
+
+constexpr size_t kMinSlots = 64;
+
+/// Hash of an encoded record, for this process's lookup only (never
+/// persisted): one multiply per eight bytes, one full mix at the end.
+uint64_t HashRecord(const char* data, size_t size) {
+  uint64_t h = 0x9e3779b97f4a7c15ULL ^ size;
+  for (; size >= 8; data += 8, size -= 8) {
+    uint64_t word;
+    std::memcpy(&word, data, 8);
+    h = (h ^ word) * 0xff51afd7ed558ccdULL;
+    h ^= h >> 32;
   }
-  auto it = schema_index_.find(record.bytes());
-  if (it != schema_index_.end()) return it->second;
-  uint32_t id = static_cast<uint32_t>(encoded_schemas_.size());
-  std::string bytes = record.TakeBytes();
-  schema_index_.emplace(bytes, id);
-  encoded_schemas_.push_back(std::move(bytes));
+  uint64_t tail = 0;
+  std::memcpy(&tail, data, size);
+  return Mix64(h ^ tail);
+}
+
+size_t PointerHash(const Event* event) {
+  return static_cast<size_t>(Mix64(reinterpret_cast<uintptr_t>(event)));
+}
+
+}  // namespace
+
+void EventTableBuilder::Clear() {
+  schema_ids_.clear();
+  schema_records_.Clear();
+  schema_begin_.clear();
+  records_.Clear();
+  record_begin_.clear();
+  std::fill(by_pointer_.begin(), by_pointer_.end(), PointerSlot{nullptr, 0});
+  pointers_ = 0;
+  std::fill(by_content_.begin(), by_content_.end(), ContentSlot{0, 0});
+}
+
+uint32_t EventTableBuilder::InternSchema(const EventSchema& schema) {
+  for (const auto& [known, id] : schema_ids_) {
+    if (known == &schema) return id;
+  }
+  const size_t begin = schema_records_.size();
+  schema_records_.WriteString(schema.name());
+  schema_records_.WriteU32(static_cast<uint32_t>(schema.num_attributes()));
+  for (const auto& attr : schema.attributes()) {
+    schema_records_.WriteString(attr.name);
+    schema_records_.WriteU8(static_cast<uint8_t>(attr.type));
+  }
+  // A handful of schemas per engine: compare encodings directly.
+  const std::string_view all = schema_records_.bytes();
+  const std::string_view record = all.substr(begin);
+  uint32_t id = static_cast<uint32_t>(schema_begin_.size());
+  for (uint32_t s = 0; s < schema_begin_.size(); ++s) {
+    const size_t end = s + 1 < schema_begin_.size() ? schema_begin_[s + 1]
+                                                    : begin;
+    if (all.substr(schema_begin_[s], end - schema_begin_[s]) == record) {
+      id = s;
+      break;
+    }
+  }
+  if (id == schema_begin_.size()) {
+    schema_begin_.push_back(begin);
+  } else {
+    schema_records_.Truncate(begin);
+  }
+  schema_ids_.emplace_back(&schema, id);
   return id;
 }
 
-uint32_t EventTableBuilder::Intern(const EventPtr& event) {
-  Sink record;
-  record.WriteU32(InternSchema(event->schema()));
-  record.WriteU32(event->type());
-  record.WriteI64(event->timestamp());
-  record.WriteU64(event->sequence());
-  record.WriteU32(static_cast<uint32_t>(event->num_attributes()));
-  for (size_t i = 0; i < event->num_attributes(); ++i) {
-    record.WriteValue(event->attribute(static_cast<int>(i)));
+uint32_t EventTableBuilder::Intern(const Event& event) {
+  if (2 * (pointers_ + 1) > by_pointer_.size()) GrowPointers();
+  const size_t mask = by_pointer_.size() - 1;
+  size_t slot = PointerHash(&event) & mask;
+  for (; by_pointer_[slot].id != 0; slot = (slot + 1) & mask) {
+    if (by_pointer_[slot].event == &event) return by_pointer_[slot].id - 1;
   }
-  auto it = index_.find(record.bytes());
-  if (it != index_.end()) return it->second;
-  uint32_t id = static_cast<uint32_t>(encoded_events_.size());
-  std::string bytes = record.TakeBytes();
-  index_.emplace(bytes, id);
-  encoded_events_.push_back(std::move(bytes));
+  const size_t begin = records_.size();
+  records_.WriteU32(InternSchema(event.schema()));
+  records_.WriteU32(event.type());
+  records_.WriteI64(event.timestamp());
+  records_.WriteU64(event.sequence());
+  records_.WriteU32(static_cast<uint32_t>(event.num_attributes()));
+  for (size_t i = 0; i < event.num_attributes(); ++i) {
+    records_.WriteValue(event.attribute(static_cast<int>(i)));
+  }
+  const uint32_t id = InternRecord(begin);
+  by_pointer_[slot] = PointerSlot{&event, id + 1};
+  ++pointers_;
   return id;
+}
+
+uint32_t EventTableBuilder::InternRecord(size_t begin) {
+  if (2 * (record_begin_.size() + 1) > by_content_.size()) GrowContent();
+  const std::string_view all = records_.bytes();
+  const std::string_view record = all.substr(begin);
+  const uint64_t hash = HashRecord(record.data(), record.size());
+  const size_t mask = by_content_.size() - 1;
+  size_t slot = static_cast<size_t>(hash) & mask;
+  for (; by_content_[slot].id != 0; slot = (slot + 1) & mask) {
+    if (by_content_[slot].hash != hash) continue;
+    const uint32_t id = by_content_[slot].id - 1;
+    const size_t end =
+        id + 1 < record_begin_.size() ? record_begin_[id + 1] : begin;
+    if (all.substr(record_begin_[id], end - record_begin_[id]) == record) {
+      records_.Truncate(begin);
+      return id;
+    }
+  }
+  const uint32_t id = static_cast<uint32_t>(record_begin_.size());
+  record_begin_.push_back(begin);
+  by_content_[slot] = ContentSlot{hash, id + 1};
+  return id;
+}
+
+void EventTableBuilder::GrowPointers() {
+  std::vector<PointerSlot> old = std::move(by_pointer_);
+  by_pointer_.assign(std::max(kMinSlots, 2 * old.size()),
+                     PointerSlot{nullptr, 0});
+  const size_t mask = by_pointer_.size() - 1;
+  for (const PointerSlot& entry : old) {
+    if (entry.id == 0) continue;
+    size_t slot = PointerHash(entry.event) & mask;
+    while (by_pointer_[slot].id != 0) slot = (slot + 1) & mask;
+    by_pointer_[slot] = entry;
+  }
+}
+
+void EventTableBuilder::GrowContent() {
+  std::vector<ContentSlot> old = std::move(by_content_);
+  by_content_.assign(std::max(kMinSlots, 2 * old.size()), ContentSlot{0, 0});
+  const size_t mask = by_content_.size() - 1;
+  for (const ContentSlot& entry : old) {
+    if (entry.id == 0) continue;
+    size_t slot = static_cast<size_t>(entry.hash) & mask;
+    while (by_content_[slot].id != 0) slot = (slot + 1) & mask;
+    by_content_[slot] = entry;
+  }
 }
 
 void EventTableBuilder::Serialize(Sink& sink) const {
-  sink.WriteU32(static_cast<uint32_t>(encoded_schemas_.size()));
-  for (const auto& record : encoded_schemas_) {
-    sink.WriteBytes(record.data(), record.size());
-  }
-  sink.WriteU32(static_cast<uint32_t>(encoded_events_.size()));
-  for (const auto& record : encoded_events_) {
-    sink.WriteBytes(record.data(), record.size());
-  }
+  sink.WriteU32(static_cast<uint32_t>(schema_begin_.size()));
+  sink.WriteBytes(schema_records_.bytes().data(), schema_records_.size());
+  sink.WriteU32(static_cast<uint32_t>(record_begin_.size()));
+  sink.WriteBytes(records_.bytes().data(), records_.size());
 }
 
 Status EventTable::RestoreFrom(Source& source) {

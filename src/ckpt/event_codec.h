@@ -2,7 +2,7 @@
 #define CEPSHED_CKPT_EVENT_CODEC_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ckpt/io.h"
@@ -27,7 +27,14 @@ namespace ckpt {
 /// engine holds reconstructed copies of pre-checkpoint events alongside the
 /// stream originals of post-restore events, and a later snapshot must intern
 /// a logically identical event to the same slot regardless of which
-/// allocation a binding happens to reference.
+/// allocation a binding happens to reference. Pointer identity is only a
+/// front cache: an event already seen by address skips re-encoding, and a
+/// new address is encoded once, straight into the table's contiguous record
+/// buffer, and then looked up by content.
+///
+/// A pointer is only a valid key while its event is alive, so a builder
+/// kept across snapshots must either hold every interned event alive (an
+/// append-only match list does) or be Clear()ed first.
 ///
 /// Usage: call Intern() for every event reachable from runs/matches while
 /// serializing them into a side sink, then Serialize() the table itself ahead
@@ -35,20 +42,44 @@ namespace ckpt {
 class EventTableBuilder {
  public:
   /// Returns the table index for `event`, adding it on first sight.
-  uint32_t Intern(const EventPtr& event);
+  uint32_t Intern(const Event& event);
+  uint32_t Intern(const EventPtr& event) { return Intern(*event); }
 
   /// Writes the schema table followed by the event table.
   void Serialize(Sink& sink) const;
 
-  size_t size() const { return encoded_events_.size(); }
+  size_t size() const { return record_begin_.size(); }
+
+  /// Forgets every entry, keeping the storage for the next snapshot.
+  void Clear();
 
  private:
-  uint32_t InternSchema(const EventSchema& schema);
+  /// Open-addressing slot; `id` is the table index plus one, 0 when empty.
+  struct PointerSlot {
+    const Event* event;
+    uint32_t id;
+  };
+  struct ContentSlot {
+    uint64_t hash;
+    uint32_t id;
+  };
 
-  std::unordered_map<std::string, uint32_t> index_;
-  std::vector<std::string> encoded_events_;
-  std::unordered_map<std::string, uint32_t> schema_index_;
-  std::vector<std::string> encoded_schemas_;
+  uint32_t InternSchema(const EventSchema& schema);
+  /// Index of the record equal to bytes [begin, records_.size()), adding it
+  /// when new.
+  uint32_t InternRecord(size_t begin);
+  void GrowPointers();
+  void GrowContent();
+
+  std::vector<std::pair<const EventSchema*, uint32_t>> schema_ids_;
+  Sink schema_records_;
+  std::vector<size_t> schema_begin_;
+
+  Sink records_;
+  std::vector<size_t> record_begin_;
+  std::vector<PointerSlot> by_pointer_;
+  size_t pointers_ = 0;
+  std::vector<ContentSlot> by_content_;
 };
 
 /// \brief Restored event table: resolves binding indices back to shared

@@ -1,38 +1,17 @@
 #include "ckpt/io.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 namespace cep {
 namespace ckpt {
 
-void Sink::WriteBytes(const void* data, size_t size) {
-  bytes_.append(static_cast<const char*>(data), size);
-}
-
-void Sink::WriteU8(uint8_t v) { bytes_.push_back(static_cast<char>(v)); }
-
-void Sink::WriteU32(uint32_t v) {
-  char buf[4];
-  for (int i = 0; i < 4; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  bytes_.append(buf, 4);
-}
-
-void Sink::WriteU64(uint64_t v) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  bytes_.append(buf, 8);
-}
-
-void Sink::WriteDouble(double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  WriteU64(bits);
-}
-
-void Sink::WriteString(std::string_view s) {
-  WriteU32(static_cast<uint32_t>(s.size()));
-  bytes_.append(s.data(), s.size());
+void Sink::Grow(size_t n) {
+  // Fill out the whole capacity (at least doubling) so later writes find
+  // headroom without reallocating.
+  buf_.resize(std::max({size_ + n, 2 * buf_.size(), buf_.capacity(),
+                        size_t{64}}));
 }
 
 void Sink::WriteValue(const Value& v) {
@@ -151,29 +130,67 @@ Result<Value> Source::ReadValue() {
 
 namespace {
 
-struct Crc32Table {
-  uint32_t entries[256];
-  Crc32Table() {
+/// entries[0] is the classic bytewise table; entries[k][b] is the CRC of
+/// byte b followed by k zero bytes, so eight table lookups advance the CRC
+/// over eight input bytes at once (slicing-by-8).
+struct Crc32Tables {
+  uint32_t entries[8][256];
+  Crc32Tables() {
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
       }
-      entries[i] = c;
+      entries[0][i] = c;
+    }
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (int k = 1; k < 8; ++k) {
+        const uint32_t prev = entries[k - 1][i];
+        entries[k][i] = (prev >> 8) ^ entries[0][prev & 0xff];
+      }
     }
   }
 };
 
+const Crc32Tables& Tables() {
+  static const Crc32Tables tables;
+  return tables;
+}
+
+uint32_t UpdateBytewise(const Crc32Tables& t, uint32_t crc, const uint8_t* p,
+                        size_t size) {
+  for (size_t i = 0; i < size; ++i) {
+    crc = t.entries[0][(crc ^ p[i]) & 0xff] ^ (crc >> 8);
+  }
+  return crc;
+}
+
 }  // namespace
 
+uint32_t Crc32Bytewise(const void* data, size_t size) {
+  return UpdateBytewise(Tables(), 0xFFFFFFFFu,
+                        static_cast<const uint8_t*>(data), size) ^
+         0xFFFFFFFFu;
+}
+
 uint32_t Crc32(const void* data, size_t size) {
-  static const Crc32Table table;
+  const Crc32Tables& t = Tables();
   const auto* p = static_cast<const uint8_t*>(data);
   uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    crc = table.entries[(crc ^ p[i]) & 0xff] ^ (crc >> 8);
+  if constexpr (std::endian::native == std::endian::little) {
+    for (; size >= 8; p += 8, size -= 8) {
+      uint32_t lo;
+      uint32_t hi;
+      std::memcpy(&lo, p, 4);
+      std::memcpy(&hi, p + 4, 4);
+      lo ^= crc;
+      crc = t.entries[7][lo & 0xff] ^ t.entries[6][(lo >> 8) & 0xff] ^
+            t.entries[5][(lo >> 16) & 0xff] ^ t.entries[4][lo >> 24] ^
+            t.entries[3][hi & 0xff] ^ t.entries[2][(hi >> 8) & 0xff] ^
+            t.entries[1][(hi >> 16) & 0xff] ^ t.entries[0][hi >> 24];
+    }
   }
-  return crc ^ 0xFFFFFFFFu;
+  return UpdateBytewise(t, crc, p, size) ^ 0xFFFFFFFFu;
 }
 
 }  // namespace ckpt

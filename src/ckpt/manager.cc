@@ -9,8 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "ckpt/snapshot.h"
-
 namespace cep {
 namespace ckpt {
 
@@ -85,11 +83,12 @@ CheckpointManager::~CheckpointManager() {
   if (writer_.joinable()) writer_.join();
 }
 
-void CheckpointManager::SubmitAsync(std::string blob, uint64_t stream_offset) {
+void CheckpointManager::SubmitAsync(UnsealedSnapshot snapshot,
+                                    uint64_t stream_offset) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     // Keep-latest: an unstarted pending snapshot is superseded, not queued.
-    pending_ = Pending{std::move(blob), stream_offset};
+    pending_ = Pending{std::move(snapshot), stream_offset};
   }
   cv_.notify_all();
 }
@@ -126,7 +125,8 @@ void CheckpointManager::WriterLoop() {
       pending_.reset();
       writing_ = true;
       lock.unlock();
-      Status st = WriteAndPrune(job.blob, job.stream_offset);
+      const std::string blob = std::move(job.snapshot).Seal();
+      Status st = WriteAndPrune(blob, job.stream_offset);
       lock.lock();
       writing_ = false;
       if (st.ok()) {

@@ -9,21 +9,13 @@
 #include <string_view>
 #include <thread>
 
+#include "ckpt/snapshot.h"
 #include "common/result.h"
 #include "common/status.h"
 
 namespace cep {
 namespace ckpt {
 
-/// \brief Writes snapshot blobs to a checkpoint directory from a background
-/// thread, keeping the engine's event loop free of disk I/O.
-///
-/// The engine serializes at a quiescent point (the serial merge barrier) —
-/// which is cheap, memcpy-bound work — and hands the finished blob to
-/// SubmitAsync. The writer thread performs the atomic temp+rename write and
-/// prunes old snapshots. If a new blob arrives while one is still being
-/// written, the pending (not yet started) one is replaced: under backlog we
-/// keep the newest state rather than queueing history.
 /// True when `name` is safe to embed as one path component under a
 /// checkpoint root: non-empty, at most 64 bytes, only [A-Za-z0-9_.-], and
 /// not starting with a dot (no hidden files, no "." / ".." traversal).
@@ -42,6 +34,15 @@ Result<std::string> JoinNamespace(const std::string& root,
 /// parent must exist). IoError when the path exists as a non-directory.
 Status EnsureDirectory(const std::string& path);
 
+/// \brief Writes snapshots to a checkpoint directory from a background
+/// thread, keeping the engine's event loop free of checksums and disk I/O.
+///
+/// The engine encodes at a quiescent point (the serial merge barrier) and
+/// hands the unsealed snapshot to SubmitAsync. The writer thread computes
+/// its section digests and CRC trailers, performs the atomic temp+rename
+/// write and prunes old snapshots. If a new snapshot arrives while one is
+/// still being written, the pending (not yet started) one is replaced:
+/// under backlog we keep the newest state rather than queueing history.
 class CheckpointManager {
  public:
   /// `keep` limits how many completed snapshots remain after each write
@@ -52,8 +53,9 @@ class CheckpointManager {
   CheckpointManager(const CheckpointManager&) = delete;
   CheckpointManager& operator=(const CheckpointManager&) = delete;
 
-  /// Enqueues a snapshot blob for background write. Never blocks on I/O.
-  void SubmitAsync(std::string blob, uint64_t stream_offset);
+  /// Enqueues a snapshot for background sealing and write. Never blocks on
+  /// I/O.
+  void SubmitAsync(UnsealedSnapshot snapshot, uint64_t stream_offset);
 
   /// Synchronous write on the calling thread (used by Engine::Checkpoint()
   /// when the caller wants the snapshot durable before returning, and by
@@ -76,7 +78,7 @@ class CheckpointManager {
 
  private:
   struct Pending {
-    std::string blob;
+    UnsealedSnapshot snapshot;
     uint64_t stream_offset = 0;
   };
 

@@ -12,37 +12,97 @@
 namespace cep {
 namespace ckpt {
 
+std::string UnsealedSnapshot::Seal() && {
+  for (const SealRange& range : seals_) {
+    const char* data = sink_.bytes().data() + range.begin;
+    const size_t size = range.end - range.begin;
+    if (range.crc) {
+      sink_.PatchU32(range.end, Crc32(data, size));
+    } else {
+      sink_.PatchU64(range.end, HashBytes(data, size));
+    }
+  }
+  seals_.clear();
+  return sink_.TakeBytes();
+}
+
+SnapshotBuilder::SnapshotBuilder(uint64_t stream_offset, size_t size_hint)
+    : out_(&owned_) {
+  sink().Reserve(size_hint);
+  WriteHeader(stream_offset);
+}
+
+SnapshotBuilder::SnapshotBuilder(SnapshotBuilder* parent,
+                                 uint64_t stream_offset)
+    : out_(parent->out_) {
+  WriteHeader(stream_offset);
+}
+
+void SnapshotBuilder::WriteHeader(uint64_t stream_offset) {
+  begin_ = sink().size();
+  sink().WriteBytes(kSnapshotMagic, sizeof(kSnapshotMagic));
+  sink().WriteU32(kSnapshotVersion);
+  sink().WriteU32(0);  // flags
+  sink().WriteU64(stream_offset);
+  count_at_ = sink().size();
+  sink().WriteU32(0);
+}
+
+size_t SnapshotBuilder::OpenSection(std::string_view name) {
+  sink().WriteString(name);
+  sink().WriteU64(0);  // payload size, patched by CloseSection
+  return sink().size();
+}
+
+void SnapshotBuilder::CloseSection(size_t payload_begin) {
+  const size_t payload_end = sink().size();
+  sink().PatchU64(payload_begin - 8, payload_end - payload_begin);
+  out_->seals_.push_back({payload_begin, payload_end, /*crc=*/false});
+  sink().WriteU64(0);  // digest
+  ++sections_;
+}
+
+void SnapshotBuilder::Close() {
+  sink().PatchU32(count_at_, sections_);
+  out_->seals_.push_back({begin_, sink().size(), /*crc=*/true});
+  sink().WriteU32(0);  // CRC trailer
+}
+
 Status SnapshotBuilder::AddComponents(const ComponentRegistry& registry) {
   for (const auto& entry : registry.entries()) {
-    Sink section;
-    CEP_RETURN_NOT_OK(entry.component->SerializeTo(section).WithContext(
+    const size_t payload_begin = OpenSection(entry.name);
+    CEP_RETURN_NOT_OK(entry.component->SerializeTo(sink()).WithContext(
         "serializing component '" + entry.name + "'"));
-    sections_.emplace_back(entry.name, section.TakeBytes());
+    CloseSection(payload_begin);
   }
   return Status::OK();
 }
 
 void SnapshotBuilder::AddSection(std::string_view name,
                                  std::string_view payload) {
-  sections_.emplace_back(std::string(name), std::string(payload));
+  const size_t payload_begin = OpenSection(name);
+  sink().WriteBytes(payload.data(), payload.size());
+  CloseSection(payload_begin);
 }
 
-std::string SnapshotBuilder::Finish() const {
-  Sink sink;
-  sink.WriteBytes(kSnapshotMagic, sizeof(kSnapshotMagic));
-  sink.WriteU32(kSnapshotVersion);
-  sink.WriteU32(0);  // flags
-  sink.WriteU64(stream_offset_);
-  sink.WriteU32(static_cast<uint32_t>(sections_.size()));
-  for (const auto& [name, payload] : sections_) {
-    sink.WriteString(name);
-    sink.WriteU64(payload.size());
-    sink.WriteBytes(payload.data(), payload.size());
-    sink.WriteU64(HashBytes(payload.data(), payload.size()));
-  }
-  uint32_t crc = Crc32(sink.bytes());
-  sink.WriteU32(crc);
-  return std::string(sink.bytes());
+Status SnapshotBuilder::AddNestedSnapshot(
+    std::string_view name, uint64_t stream_offset,
+    const std::function<Status(SnapshotBuilder&)>& fill) {
+  const size_t payload_begin = OpenSection(name);
+  SnapshotBuilder nested(this, stream_offset);
+  CEP_RETURN_NOT_OK(fill(nested));
+  nested.Close();
+  CloseSection(payload_begin);
+  return Status::OK();
+}
+
+std::string SnapshotBuilder::Finish() {
+  return std::move(FinishUnsealed()).Seal();
+}
+
+UnsealedSnapshot SnapshotBuilder::FinishUnsealed() {
+  Close();
+  return std::move(owned_);
 }
 
 Result<SnapshotView> ParseSnapshot(std::string_view bytes) {

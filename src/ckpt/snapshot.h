@@ -2,6 +2,7 @@
 #define CEPSHED_CKPT_SNAPSHOT_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -59,25 +60,89 @@ struct SnapshotView {
   }
 };
 
-/// \brief Assembles a snapshot byte string from a component registry.
+/// \brief Encoded snapshot bytes whose section digests and CRC trailers are
+/// still zero placeholders, with the byte ranges that fill them.
+///
+/// Digests and CRCs are pure functions of the encoded bytes, so sealing can
+/// run on any thread: the checkpoint writer seals off the serving thread.
+/// Ranges are kept in dependency order (a nested snapshot's digests and CRC
+/// before the digest of the section that holds it).
+class UnsealedSnapshot {
+ public:
+  UnsealedSnapshot() = default;
+
+  /// Fills every digest and CRC and returns the snapshot file bytes.
+  std::string Seal() &&;
+
+  size_t size() const { return sink_.size(); }
+
+ private:
+  friend class SnapshotBuilder;
+
+  /// Checksum of bytes [begin, end), stored at `end`: a u64 FNV-1a section
+  /// digest, or the u32 CRC-32 trailer of a whole snapshot.
+  struct SealRange {
+    size_t begin = 0;
+    size_t end = 0;
+    bool crc = false;
+  };
+
+  Sink sink_;
+  std::vector<SealRange> seals_;
+};
+
+/// \brief Encodes a snapshot straight into its final buffer: every
+/// component serializes in place, lengths and counts are back-patched, and
+/// nested snapshots (a MultiEngine's or tenant's engines) are written inside
+/// their section rather than copied in as finished blobs.
 class SnapshotBuilder {
  public:
-  explicit SnapshotBuilder(uint64_t stream_offset)
-      : stream_offset_(stream_offset) {}
+  /// `size_hint` reserves the buffer up front (the previous snapshot's size
+  /// avoids regrowing it).
+  explicit SnapshotBuilder(uint64_t stream_offset, size_t size_hint = 0);
+
+  SnapshotBuilder(const SnapshotBuilder&) = delete;
+  SnapshotBuilder& operator=(const SnapshotBuilder&) = delete;
 
   /// Serializes every registered component into its own section.
   Status AddComponents(const ComponentRegistry& registry);
 
-  /// Adds a pre-serialized section (used by MultiEngine to nest per-query
-  /// engine snapshots).
+  /// Adds a section holding `payload` verbatim.
   void AddSection(std::string_view name, std::string_view payload);
 
-  /// Finalizes header + sections + CRC trailer and returns the file bytes.
-  std::string Finish() const;
+  /// Adds a section whose payload is a complete snapshot at
+  /// `stream_offset`, whose sections `fill` adds to the builder it is given
+  /// (without finishing it: this call closes the nested snapshot).
+  Status AddNestedSnapshot(
+      std::string_view name, uint64_t stream_offset,
+      const std::function<Status(SnapshotBuilder&)>& fill);
+
+  /// Completes the snapshot and returns the sealed file bytes. Call once.
+  std::string Finish();
+
+  /// Completes the snapshot without computing its digests and CRCs, for a
+  /// caller that seals elsewhere. Call once, instead of Finish().
+  UnsealedSnapshot FinishUnsealed();
 
  private:
-  uint64_t stream_offset_;
-  std::vector<std::pair<std::string, std::string>> sections_;
+  /// A nested builder, appending to `parent`'s buffer.
+  SnapshotBuilder(SnapshotBuilder* parent, uint64_t stream_offset);
+
+  void WriteHeader(uint64_t stream_offset);
+  /// Writes the section name and a size placeholder; returns where the
+  /// payload starts.
+  size_t OpenSection(std::string_view name);
+  void CloseSection(size_t payload_begin);
+  /// Patches the section count and appends the CRC placeholder.
+  void Close();
+
+  Sink& sink() { return out_->sink_; }
+
+  UnsealedSnapshot owned_;  ///< the buffer, in a top-level builder
+  UnsealedSnapshot* out_;   ///< where this builder appends
+  size_t begin_ = 0;        ///< offset of this snapshot's magic in out_
+  size_t count_at_ = 0;     ///< offset of the section-count placeholder
+  uint32_t sections_ = 0;
 };
 
 /// Parses and validates snapshot bytes: magic, version, CRC trailer, and

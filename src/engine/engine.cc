@@ -94,8 +94,14 @@ class Engine::RunSetComponent final : public ckpt::StateComponent {
   explicit RunSetComponent(Engine* engine) : e_(engine) {}
 
   Status SerializeTo(ckpt::Sink& sink) const override {
-    ckpt::EventTableBuilder table;
-    ckpt::Sink runs;
+    // One scratch table and run buffer per thread, reused by every engine
+    // the thread snapshots: a run set never serializes inside another, and
+    // the table is cleared first because its pointer keys are only valid
+    // while the runs hold their events.
+    static thread_local ckpt::EventTableBuilder table;
+    static thread_local ckpt::Sink runs;
+    table.Clear();
+    runs.Clear();
     runs.WriteU64(e_->run_store_.size());
     for (const RunPtr& run : e_->run_store_.slots()) {
       CEP_RETURN_NOT_OK(run->SerializeTo(runs, &table));
@@ -131,35 +137,49 @@ class Engine::RunSetComponent final : public ckpt::StateComponent {
 
 /// Accumulated matches (options.collect_matches): exactly-once resume must
 /// re-emit the pre-checkpoint output, so matches are engine state.
+///
+/// matches_ only grows between a restore and a TakeMatches(), so the event
+/// table and the encoded match list of the previous snapshot stay valid:
+/// each snapshot encodes only the matches emitted since. The table interns
+/// in first-seen order over that append-only list, so the bytes equal a
+/// from-scratch encoding; the matches keep their events alive, so the
+/// table's pointer keys stay valid.
 class Engine::MatchesComponent final : public ckpt::StateComponent {
  public:
   explicit MatchesComponent(Engine* engine) : e_(engine) {}
 
+  /// Forgets the encoded prefix (matches_ was replaced or moved out).
+  void Reset() {
+    table_.Clear();
+    body_.Clear();
+    encoded_ = 0;
+  }
+
   Status SerializeTo(ckpt::Sink& sink) const override {
-    ckpt::EventTableBuilder table;
-    ckpt::Sink body;
-    body.WriteU64(e_->matches_.size());
-    for (const Match& match : e_->matches_) {
-      body.WriteU64(match.id);
-      body.WriteI64(match.first_ts);
-      body.WriteI64(match.last_ts);
-      body.WriteU64(match.fingerprint);
-      body.WriteU32(static_cast<uint32_t>(match.bindings.size()));
+    const std::vector<Match>& matches = e_->matches_;
+    for (; encoded_ < matches.size(); ++encoded_) {
+      const Match& match = matches[encoded_];
+      body_.WriteU64(match.id);
+      body_.WriteI64(match.first_ts);
+      body_.WriteI64(match.last_ts);
+      body_.WriteU64(match.fingerprint);
+      body_.WriteU32(static_cast<uint32_t>(match.bindings.size()));
       for (const auto& binding : match.bindings) {
-        body.WriteU32(static_cast<uint32_t>(binding.size()));
+        body_.WriteU32(static_cast<uint32_t>(binding.size()));
         for (const EventPtr& event : binding) {
-          body.WriteU32(table.Intern(event));
+          body_.WriteU32(table_.Intern(event));
         }
       }
       if (match.complex_event != nullptr) {
-        body.WriteU8(1);
-        body.WriteU32(table.Intern(match.complex_event));
+        body_.WriteU8(1);
+        body_.WriteU32(table_.Intern(match.complex_event));
       } else {
-        body.WriteU8(0);
+        body_.WriteU8(0);
       }
     }
-    table.Serialize(sink);
-    sink.WriteBytes(body.bytes().data(), body.size());
+    table_.Serialize(sink);
+    sink.WriteU64(matches.size());
+    sink.WriteBytes(body_.bytes().data(), body_.size());
     return Status::OK();
   }
 
@@ -167,6 +187,7 @@ class Engine::MatchesComponent final : public ckpt::StateComponent {
     ckpt::EventTable table;
     CEP_RETURN_NOT_OK(table.RestoreFrom(source));
     CEP_ASSIGN_OR_RETURN(uint64_t count, source.ReadU64());
+    Reset();
     e_->matches_.clear();
     e_->matches_.reserve(count);
     for (uint64_t i = 0; i < count; ++i) {
@@ -198,6 +219,9 @@ class Engine::MatchesComponent final : public ckpt::StateComponent {
 
  private:
   Engine* e_;
+  mutable ckpt::EventTableBuilder table_;
+  mutable ckpt::Sink body_;  ///< matches_[0, encoded_) after the count
+  mutable size_t encoded_ = 0;
 };
 
 /// EngineMetrics (field-table driven, so new counters snapshot
@@ -1409,12 +1433,37 @@ const ckpt::ComponentRegistry& Engine::components() {
   return components_;
 }
 
-Result<std::string> Engine::SerializeSnapshot() {
+Result<ckpt::UnsealedSnapshot> Engine::EncodeSnapshot() {
   BuildComponentRegistry();
-  ckpt::SnapshotBuilder builder(stream_offset_);
-  Status st = builder.AddComponents(components_);
-  if (!st.ok()) return st;
-  return builder.Finish();
+  // A little headroom over the last size keeps a slowly growing snapshot
+  // from doubling its buffer.
+  ckpt::SnapshotBuilder builder(stream_offset_,
+                                last_snapshot_bytes_ + last_snapshot_bytes_ / 8);
+  CEP_RETURN_NOT_OK(builder.AddComponents(components_));
+  ckpt::UnsealedSnapshot snapshot = builder.FinishUnsealed();
+  last_snapshot_bytes_ = snapshot.size();
+  return snapshot;
+}
+
+Result<std::string> Engine::SerializeSnapshot() {
+  CEP_ASSIGN_OR_RETURN(ckpt::UnsealedSnapshot snapshot, EncodeSnapshot());
+  return std::move(snapshot).Seal();
+}
+
+Status Engine::WriteSnapshotSection(ckpt::SnapshotBuilder& builder,
+                                    std::string_view name) {
+  BuildComponentRegistry();
+  return builder.AddNestedSnapshot(
+      name, stream_offset_, [this](ckpt::SnapshotBuilder& nested) {
+        return nested.AddComponents(components_);
+      });
+}
+
+std::vector<Match> Engine::TakeMatches() {
+  matches_component_->Reset();
+  std::vector<Match> out = std::move(matches_);
+  matches_.clear();
+  return out;
 }
 
 Status Engine::RestoreFromSnapshot(std::string_view bytes) {
@@ -1445,11 +1494,11 @@ Status Engine::Checkpoint() {
 }
 
 Status Engine::MaybeCheckpoint() {
-  CEP_ASSIGN_OR_RETURN(std::string blob, SerializeSnapshot());
+  CEP_ASSIGN_OR_RETURN(ckpt::UnsealedSnapshot snapshot, EncodeSnapshot());
   if (options_.checkpoint.synchronous) {
-    return ckpt_manager_->WriteNow(blob, stream_offset_);
+    return ckpt_manager_->WriteNow(std::move(snapshot).Seal(), stream_offset_);
   }
-  ckpt_manager_->SubmitAsync(std::move(blob), stream_offset_);
+  ckpt_manager_->SubmitAsync(std::move(snapshot), stream_offset_);
   return Status::OK();
 }
 

@@ -103,7 +103,7 @@ class Engine {
   const std::vector<Match>& matches() const { return matches_; }
 
   /// Moves the accumulated matches out (harness convenience).
-  std::vector<Match> TakeMatches() { return std::move(matches_); }
+  std::vector<Match> TakeMatches();
 
   /// Invoked for every match in addition to (or instead of) accumulation.
   void SetMatchCallback(MatchCallback callback) {
@@ -229,6 +229,12 @@ class Engine {
   /// streams, and ingestion offset — into versioned snapshot bytes. Call
   /// between events (the serial merge barrier), where state is quiescent.
   Result<std::string> SerializeSnapshot();
+
+  /// Writes the bytes SerializeSnapshot would return as section `name` of
+  /// `builder`, in place: MultiEngine and tenant snapshots nest their
+  /// engines this way. Sealed when the builder is.
+  Status WriteSnapshotSection(ckpt::SnapshotBuilder& builder,
+                              std::string_view name);
 
   /// Forces a snapshot now and writes it durably to the configured
   /// checkpoint directory before returning. InvalidArgument when
@@ -446,10 +452,13 @@ class Engine {
   /// attachments (audit log, shedder). Section order is the snapshot layout.
   void BuildComponentRegistry();
 
-  /// Interval-driven snapshot from OfferEvent: serialize at the merge
-  /// barrier, hand off to the background writer (or write synchronously
-  /// under options.checkpoint.synchronous).
+  /// Interval-driven snapshot from OfferEvent: encode at the merge barrier,
+  /// hand off to the background writer to seal and write (or write
+  /// synchronously under options.checkpoint.synchronous).
   Status MaybeCheckpoint();
+
+  /// Encodes a top-level snapshot, digests and CRC not yet computed.
+  Result<ckpt::UnsealedSnapshot> EncodeSnapshot();
 
   NfaPtr nfa_;
   EngineOptions options_;
@@ -513,6 +522,7 @@ class Engine {
   std::unique_ptr<MetricsComponent> metrics_component_;
   ckpt::ComponentRegistry components_;
   std::unique_ptr<ckpt::CheckpointManager> ckpt_manager_;
+  size_t last_snapshot_bytes_ = 0;  ///< buffer size hint for the next one
 
   // --- observability ---------------------------------------------------------
   uint32_t obs_id_ = 0;

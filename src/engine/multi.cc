@@ -398,22 +398,20 @@ size_t MultiEngine::TotalRuns() const {
 
 Result<std::string> MultiEngine::SerializeSnapshot() {
   ckpt::SnapshotBuilder builder(stream_offset());
-  if (!optimized_) {
-    for (size_t i = 0; i < engines_.size(); ++i) {
-      CEP_ASSIGN_OR_RETURN(std::string blob, engines_[i]->SerializeSnapshot());
-      builder.AddSection(StrFormat("query.%zu", i), blob);
-    }
-    return builder.Finish();
-  }
-  // Optimized layout: one section per *physical* engine plus the optimizer's
-  // own component section (digest + cross-engine counters).
+  // Unoptimized: one section per query. Optimized: one per *physical*
+  // engine plus the optimizer's own component section (digest +
+  // cross-engine counters).
+  const char* prefix = optimized_ ? "engine.%zu" : "query.%zu";
   for (size_t k = 0; k < engines_.size(); ++k) {
-    CEP_ASSIGN_OR_RETURN(std::string blob, engines_[k]->SerializeSnapshot());
-    builder.AddSection(StrFormat("engine.%zu", k), blob);
+    CEP_RETURN_NOT_OK(
+        engines_[k]->WriteSnapshotSection(builder, StrFormat(prefix, k)));
   }
-  ckpt::SnapshotBuilder inner(stream_offset());
-  CEP_RETURN_NOT_OK(inner.AddComponents(opt_components()));
-  builder.AddSection("opt", inner.Finish());
+  if (optimized_) {
+    CEP_RETURN_NOT_OK(builder.AddNestedSnapshot(
+        "opt", stream_offset(), [this](ckpt::SnapshotBuilder& nested) {
+          return nested.AddComponents(opt_components());
+        }));
+  }
   return builder.Finish();
 }
 

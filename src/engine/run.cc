@@ -102,10 +102,17 @@ Status Run::SerializeTo(ckpt::Sink& sink,
     }
     sink.WriteU8(1);
     sink.WriteU32(vb.count);
-    // Oldest-first on the wire (pre-refactor format): materialise the
-    // newest-first chain into a scratch row and intern in reverse.
-    for (const EventPtr& event : binding(v)) {
-      sink.WriteU32(table->Intern(event));
+    // Oldest-first on the wire (pre-refactor format), and interning order
+    // decides table indices: collect the newest-first chain into a row
+    // reused across calls, then intern it in reverse.
+    static thread_local std::vector<const Event*> row;
+    row.clear();
+    for (const BindingCell* cell = vb.head; cell != nullptr;
+         cell = cell->prev) {
+      row.push_back(cell->event.get());
+    }
+    for (auto it = row.rbegin(); it != row.rend(); ++it) {
+      sink.WriteU32(table->Intern(**it));
     }
   }
   // The trail capacity field predates the flat layout (ApproxBytes once

@@ -307,6 +307,20 @@ void ValueCodecRoundTrip(FuzzInput& in) {
                  "Value codec round-trip changed the encoding");
 }
 
+/// Parses `bytes` as a snapshot and, to a bounded depth, every section
+/// payload that is itself a snapshot (MultiEngine and tenant snapshots nest
+/// their engines' snapshots as sections).
+void ParseNested(std::string_view bytes, int depth) {
+  auto parsed = ckpt::ParseSnapshot(bytes);
+  if (!parsed.ok() || depth == 0) return;
+  for (const ckpt::SnapshotSection& section : parsed.ValueOrDie().sections) {
+    if (section.payload.substr(0, sizeof(ckpt::kSnapshotMagic)) ==
+        std::string_view(ckpt::kSnapshotMagic, sizeof(ckpt::kSnapshotMagic))) {
+      ParseNested(section.payload, depth - 1);
+    }
+  }
+}
+
 void SnapshotAssemblyPipeline(FuzzInput& in) {
   ckpt::SnapshotBuilder builder(in.TakeU64());
   const uint64_t sections = in.TakeBounded(5);
@@ -381,7 +395,7 @@ void RunSnapshotFuzz(const uint8_t* data, size_t size) {
   switch (in.TakeByte() % 4) {
     case 0: {
       const std::string raw = in.TakeRest();
-      (void)ckpt::ParseSnapshot(raw);
+      ParseNested(raw, /*depth=*/2);
       break;
     }
     case 1: {

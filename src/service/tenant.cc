@@ -517,24 +517,28 @@ void TenantSession::RefreshSharedPressure() {
 }
 
 Status TenantSession::Checkpoint(bool synchronous) {
-  ckpt::SnapshotBuilder builder(wal_->count());
+  // Engines encode in place inside the tenant snapshot; digests and CRCs are
+  // left to the background writer unless the caller waits for the write.
+  ckpt::SnapshotBuilder builder(wal_->count(),
+                                last_snapshot_bytes_ + last_snapshot_bytes_ / 8);
   ckpt::Sink core;
   core.WriteU32(kCoreVersion);
   core.WriteU64(quarantined_);
   builder.AddSection(kCoreSection, core.bytes());
   for (auto& q : queries_) {
-    CEP_ASSIGN_OR_RETURN(std::string bytes, q->engine->SerializeSnapshot());
-    builder.AddSection(kQuerySectionPrefix + q->name, bytes);
+    CEP_RETURN_NOT_OK(q->engine->WriteSnapshotSection(
+        builder, kQuerySectionPrefix + q->name));
   }
-  std::string blob = builder.Finish();
+  ckpt::UnsealedSnapshot snapshot = builder.FinishUnsealed();
+  last_snapshot_bytes_ = snapshot.size();
   events_since_ckpt_ = 0;
   if (synchronous) {
     // A pending async snapshot at this same WAL offset would share the
     // .tmp path with WriteNow; wait it out so the rename cannot race.
     CEP_RETURN_NOT_OK(ckpt_->Flush());
-    return ckpt_->WriteNow(blob, wal_->count());
+    return ckpt_->WriteNow(std::move(snapshot).Seal(), wal_->count());
   }
-  ckpt_->SubmitAsync(std::move(blob), wal_->count());
+  ckpt_->SubmitAsync(std::move(snapshot), wal_->count());
   return Status::OK();
 }
 

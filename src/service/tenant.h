@@ -195,6 +195,7 @@ class TenantSession {
   uint32_t next_obs_id_ = 0;
   uint64_t quarantined_ = 0;
   uint64_t events_since_ckpt_ = 0;
+  size_t last_snapshot_bytes_ = 0;  ///< buffer size hint for the next one
   std::string last_error_;
 };
 

@@ -101,6 +101,66 @@ TEST(SnapshotFormatTest, EqualStateProducesIdenticalBytes) {
   EXPECT_EQ(a.Finish(), b.Finish());
 }
 
+TEST(SnapshotFormatTest, NestedSnapshotEqualsCopiedBlob) {
+  // A snapshot nested in place must be byte-for-byte the old layout: the
+  // inner snapshot finished on its own, then copied in as a section.
+  ckpt::SnapshotBuilder inner(5);
+  inner.AddSection("x", "inner-x");
+  inner.AddSection("y", "");
+  ckpt::SnapshotBuilder copied(9);
+  copied.AddSection("head", "h");
+  copied.AddSection("nested", inner.Finish());
+  copied.AddSection("tail", "t");
+
+  ckpt::SnapshotBuilder in_place(9);
+  in_place.AddSection("head", "h");
+  CEP_ASSERT_OK(in_place.AddNestedSnapshot(
+      "nested", 5, [](ckpt::SnapshotBuilder& nested) {
+        nested.AddSection("x", "inner-x");
+        nested.AddSection("y", "");
+        return Status::OK();
+      }));
+  in_place.AddSection("tail", "t");
+  const std::string expected = copied.Finish();
+  EXPECT_EQ(in_place.Finish(), expected);
+
+  // Sealing later (on the checkpoint writer) yields the same bytes.
+  ckpt::SnapshotBuilder deferred(9);
+  deferred.AddSection("head", "h");
+  CEP_ASSERT_OK(deferred.AddNestedSnapshot(
+      "nested", 5, [](ckpt::SnapshotBuilder& nested) {
+        nested.AddSection("x", "inner-x");
+        nested.AddSection("y", "");
+        return Status::OK();
+      }));
+  deferred.AddSection("tail", "t");
+  EXPECT_EQ(std::move(deferred.FinishUnsealed()).Seal(), expected);
+  CEP_EXPECT_OK(ckpt::ParseSnapshot(expected).status());
+}
+
+TEST(Crc32Test, KnownAnswers) {
+  EXPECT_EQ(ckpt::Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(ckpt::Crc32("", 0), 0u);
+  EXPECT_EQ(ckpt::Crc32Bytewise("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(ckpt::Crc32Bytewise("", 0), 0u);
+}
+
+TEST(Crc32Test, SlicedEqualsBytewiseAtEveryLengthAndAlignment) {
+  uint8_t buffer[64 + 8];
+  uint32_t x = 0x12345678u;
+  for (uint8_t& byte : buffer) {
+    x = x * 1664525u + 1013904223u;
+    byte = static_cast<uint8_t>(x >> 24);
+  }
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t length = 0; length <= 64; ++length) {
+      EXPECT_EQ(ckpt::Crc32(buffer + align, length),
+                ckpt::Crc32Bytewise(buffer + align, length))
+          << "align " << align << " length " << length;
+    }
+  }
+}
+
 TEST(SnapshotFileNameTest, RoundTripsAndRejectsStrangers) {
   const std::string name = ckpt::SnapshotFileName(12345);
   CEP_ASSERT_OK_AND_ASSIGN(uint64_t offset,
@@ -182,12 +242,17 @@ TEST(CheckpointManagerTest, PrunesToKeepCount) {
 TEST(CheckpointManagerTest, AsyncSubmitIsDurableAfterFlush) {
   const std::string dir = TestDir("ckpt_async");
   ckpt::CheckpointManager manager(dir, 0);
-  manager.SubmitAsync(SmallSnapshot(700, "async"), 700);
+  // The writer thread seals the snapshot: the file equals a sealed one.
+  ckpt::SnapshotBuilder builder(700);
+  builder.AddSection("alpha", "async");
+  manager.SubmitAsync(builder.FinishUnsealed(), 700);
   CEP_ASSERT_OK(manager.Flush());
   CEP_ASSERT_OK_AND_ASSIGN(std::string latest,
                            ckpt::CheckpointManager::FindLatest(dir));
   EXPECT_NE(latest.find(ckpt::SnapshotFileName(700)), std::string::npos);
   EXPECT_EQ(manager.snapshots_written(), 1u);
+  CEP_ASSERT_OK_AND_ASSIGN(std::string written, ckpt::ReadFileBytes(latest));
+  EXPECT_EQ(written, SmallSnapshot(700, "async"));
 }
 
 // --- engine replay determinism ----------------------------------------------

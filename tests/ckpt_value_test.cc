@@ -117,7 +117,7 @@ TEST(ValueCodecTest, RandomizedValuesRoundTrip) {
 TEST(ValueCodecTest, TruncatedValueIsOutOfRange) {
   ckpt::Sink sink;
   sink.WriteValue(Value(std::string("hello")));
-  const std::string bytes = sink.bytes();
+  const std::string bytes(sink.bytes());
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
     ckpt::Source source(std::string_view(bytes).substr(0, cut));
     const Result<Value> restored = source.ReadValue();

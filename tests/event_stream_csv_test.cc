@@ -40,7 +40,8 @@ TEST(CallbackEventStreamTest, GeneratesUntilNull) {
   int count = 0;
   CallbackEventStream stream([&]() -> EventPtr {
     if (count >= 3) return nullptr;
-    return fixture.Req(++count, 0, count);
+    ++count;
+    return fixture.Req(count, 0, count);
   });
   EXPECT_EQ(stream.Drain().size(), 3u);
 }

@@ -285,7 +285,9 @@ TEST_F(StateShedderTest, TrailGrowsWithTransitions) {
   CEP_ASSERT_OK(engine.ProcessEvent(fixture_.Avail(2 * kMinute, 1, 1)));
   // Child run <r, a1> carries the parent's trail plus its own cell.
   for (const auto& run : engine.runs()) {
-    if (run->size() == 2) EXPECT_EQ(run->trail().size(), 2u);
+    if (run->size() == 2) {
+      EXPECT_EQ(run->trail().size(), 2u);
+    }
   }
 }
 
