@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
 
 #include "engine/engine.h"
 #include "event/stream.h"
@@ -207,13 +206,12 @@ BENCHMARK(BM_GoogleTraceGeneration);
 
 }  // namespace
 
-/// Threads × batch-size sweep over the engine's dominant loop (one event
-/// against |R(t)| = 4096 predicate-failing runs), written as machine-readable
-/// JSON so CI can track parallel scaling. Speedups are relative to the
-/// threads=1, batch=1 row; on a single-core container they will hover
-/// around (or below) 1.0 — the JSON records `hardware_threads` so readers
-/// can tell scheduling noise from a real scaling regression.
-void RunParallelSweepAndWriteJson(const char* path) {
+/// Batch-size sweep over the engine's dominant loop (one event against
+/// |R(t)| = 4096 predicate-failing runs), written as machine-readable JSON
+/// for the throughput smoke in tools/check.sh. Every row records
+/// `"threads": 1` (an engine evaluates serially): the smoke selects its row
+/// by that field.
+void RunBatchSweepAndWriteJson(const char* path) {
   BikeFixture fixture;
   NfaPtr nfa = CompileBikeQuery(
       fixture.registry,
@@ -222,51 +220,32 @@ void RunParallelSweepAndWriteJson(const char* path) {
   constexpr int kMeasuredEvents = 2000;
 
   struct Row {
-    size_t threads;
     size_t batch;
     double events_per_sec;
   };
   std::vector<Row> rows;
-  for (size_t threads : {1u, 2u, 4u, 8u}) {
-    for (size_t batch : {1u, 64u}) {
-      EngineOptions options;
-      options.parallel.threads = threads;
-      Engine engine(nfa, options);
-      Timestamp ts = kMinute;
-      for (int i = 0; i < kPreloadRuns; ++i) {
-        (void)engine.ProcessEvent(fixture.MakeReq(++ts, 1, 1000000 + i));
-      }
-      std::vector<EventPtr> measured;
-      measured.reserve(kMeasuredEvents);
-      for (int i = 0; i < kMeasuredEvents; ++i) {
-        // uid -1 never matches: pure predicate-evaluation cost per run.
-        measured.push_back(fixture.MakeUnlock(++ts, 1, -1));
-      }
-      VectorEventStream stream(std::move(measured));
-      const auto t0 = std::chrono::steady_clock::now();
-      (void)engine.ProcessStream(&stream, batch);
-      const double secs =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      rows.push_back({threads, batch, kMeasuredEvents / secs});
+  for (size_t batch : {1u, 64u}) {
+    Engine engine(nfa, EngineOptions{});
+    Timestamp ts = kMinute;
+    for (int i = 0; i < kPreloadRuns; ++i) {
+      (void)engine.ProcessEvent(fixture.MakeReq(++ts, 1, 1000000 + i));
     }
+    std::vector<EventPtr> measured;
+    measured.reserve(kMeasuredEvents);
+    for (int i = 0; i < kMeasuredEvents; ++i) {
+      // uid -1 never matches: pure predicate-evaluation cost per run.
+      measured.push_back(fixture.MakeUnlock(++ts, 1, -1));
+    }
+    VectorEventStream stream(std::move(measured));
+    const auto t0 = std::chrono::steady_clock::now();
+    (void)engine.ProcessStream(&stream, batch);
+    const double secs =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    rows.push_back({batch, kMeasuredEvents / secs});
   }
 
   const double serial = rows.front().events_per_sec;
-  size_t max_threads = 0;
-  for (const Row& row : rows) max_threads = std::max(max_threads, row.threads);
-  const unsigned hardware = std::thread::hardware_concurrency();
-  // When the sweep asks for more threads than the machine has, speedup rows
-  // measure scheduler time-slicing, not scaling: flag the file so CI and
-  // readers don't treat those rows as a regression (or an improvement).
-  const bool valid_scaling = hardware >= max_threads;
-  if (!valid_scaling) {
-    std::fprintf(stderr,
-                 "warning: sweep uses up to %zu threads but only %u hardware "
-                 "thread(s) are available; speedup rows measure time-slicing, "
-                 "not scaling (valid_scaling=false)\n",
-                 max_threads, hardware);
-  }
   std::FILE* out = std::fopen(path, "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", path);
@@ -274,17 +253,14 @@ void RunParallelSweepAndWriteJson(const char* path) {
   }
   std::fprintf(out,
                "{\n  \"benchmark\": \"parallel_sweep\",\n"
-               "  \"hardware_threads\": %u,\n"
-               "  \"valid_scaling\": %s,\n"
                "  \"preloaded_runs\": %d,\n  \"measured_events\": %d,\n"
                "  \"results\": [\n",
-               hardware, valid_scaling ? "true" : "false", kPreloadRuns,
-               kMeasuredEvents);
+               kPreloadRuns, kMeasuredEvents);
   for (size_t i = 0; i < rows.size(); ++i) {
     std::fprintf(out,
-                 "    {\"threads\": %zu, \"batch\": %zu, "
+                 "    {\"threads\": 1, \"batch\": %zu, "
                  "\"events_per_sec\": %.1f, \"speedup_vs_serial\": %.3f}%s\n",
-                 rows[i].threads, rows[i].batch, rows[i].events_per_sec,
+                 rows[i].batch, rows[i].events_per_sec,
                  rows[i].events_per_sec / serial,
                  i + 1 < rows.size() ? "," : "");
   }
@@ -300,6 +276,6 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  cep::RunParallelSweepAndWriteJson("BENCH_parallel.json");
+  cep::RunBatchSweepAndWriteJson("BENCH_parallel.json");
   return 0;
 }

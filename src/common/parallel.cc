@@ -2,12 +2,6 @@
 
 namespace cep {
 
-namespace {
-thread_local bool t_in_parallel_region = false;
-}  // namespace
-
-bool ThreadPool::InParallelRegion() { return t_in_parallel_region; }
-
 ThreadPool::ThreadPool(size_t num_threads) {
   const size_t workers = num_threads > 1 ? num_threads - 1 : 0;
   workers_.reserve(workers);
@@ -35,9 +29,7 @@ void ThreadPool::WorkerLoop() {
       auto* fn = job_fn_;
       void* ctx = job_ctx_;
       lock.unlock();
-      t_in_parallel_region = true;
       fn(ctx, index);
-      t_in_parallel_region = false;
       lock.lock();
       if (--job_pending_ == 0) done_cv_.notify_all();
     }
@@ -47,7 +39,7 @@ void ThreadPool::WorkerLoop() {
 void ThreadPool::ParallelForRaw(size_t n, void (*fn)(void*, size_t),
                                 void* ctx) {
   if (n == 0) return;
-  if (workers_.empty() || n == 1 || t_in_parallel_region) {
+  if (workers_.empty() || n == 1) {
     for (size_t i = 0; i < n; ++i) fn(ctx, i);
     return;
   }
@@ -66,9 +58,7 @@ void ThreadPool::ParallelForRaw(size_t n, void (*fn)(void*, size_t),
   while (job_next_ < job_n_) {
     const size_t index = job_next_++;
     lock.unlock();
-    t_in_parallel_region = true;
     fn(ctx, index);
-    t_in_parallel_region = false;
     lock.lock();
     --job_pending_;
   }

@@ -16,18 +16,13 @@ namespace cep {
 /// ParallelFor participates as the remaining lane, so a pool of size N runs
 /// loops N-wide without handing its caller to the scheduler. Jobs are
 /// index-claimed: workers pull loop indices one at a time, which balances
-/// shards of uneven cost (run sharding produces such shards whenever the
-/// run set is skewed toward one NFA state).
-///
-/// Nested use is safe by construction: a ParallelFor issued from inside a
-/// worker lane (e.g. an Engine sharding its run set while MultiEngine is
-/// already fanning engines out across the pool) executes inline on the
-/// calling lane instead of deadlocking on its own pool.
+/// items of uneven cost (MultiEngine fans out engines whose run sets differ
+/// in size). Loop bodies must not call ParallelFor on the same pool.
 ///
 /// All job state is mutex-guarded; the pool is intentionally boring so that
 /// it is obviously correct under ThreadSanitizer. Loop bodies must not
-/// throw; they communicate failure through their captured state (the engine
-/// records per-run Status objects in its shard scratch).
+/// throw; they communicate failure through their captured state
+/// (MultiEngine records one Status per engine).
 class ThreadPool {
  public:
   /// A pool of total width `num_threads` (caller lane included); values
@@ -44,7 +39,6 @@ class ThreadPool {
 
   /// Runs `fn(i)` for every i in [0, n), potentially in parallel, and
   /// returns once all n calls completed. The calling thread participates.
-  /// Calls issued from inside a pool lane run the loop inline.
   template <typename Fn>
   void ParallelFor(size_t n, Fn&& fn) {
     auto thunk = [](void* ctx, size_t i) {
@@ -54,10 +48,6 @@ class ThreadPool {
                    const_cast<void*>(
                        static_cast<const void*>(std::addressof(fn))));
   }
-
-  /// True when the current thread is executing a loop body on some pool
-  /// (used to run nested loops inline).
-  static bool InParallelRegion();
 
  private:
   void ParallelForRaw(size_t n, void (*fn)(void*, size_t), void* ctx);

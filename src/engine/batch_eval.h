@@ -33,7 +33,7 @@ enum class FastVerdict : uint8_t { kFalse, kTrue, kFallback };
 /// operands are assigned HotAttr column slots gathered by the RunStore;
 /// event-side operands and literals are resolved once per event by
 /// BeginEvent, which rebinds every predicate to either a hot-column pointer
-/// or a preloaded constant. The decide phase then evaluates an edge over a
+/// or a preloaded constant. The per-event pass then evaluates an edge over a
 /// contiguous run batch as one column load plus tag checks and int/double
 /// compares per predicate — no virtual Expr::Eval walk, no Value copies, no
 /// shared_ptr traffic, no per-run operand dispatch.
@@ -112,9 +112,9 @@ class BatchEvalPlan {
   size_t total_edge_count() const { return total_edges_; }
 
   /// Resolves every compiled operand against `event` (candidate attributes,
-  /// literals) and `store` (hot-column base pointers). Serial: call once per
-  /// event before the (possibly parallel) decide phase; the bound form stays
-  /// valid while the phase only reads the store.
+  /// literals) and `store` (hot-column base pointers). Call once per event
+  /// before the pass over R(t); the bound form stays valid while the pass
+  /// only kills and re-gathers rows in place.
   void BeginEvent(const Event& event, const RunStore& store);
 
   const CompiledEdge& edge(int state, size_t edge_index) const {
@@ -122,8 +122,8 @@ class BatchEvalPlan {
   }
 
   /// Evaluates a compiled-fast edge against run row `i` with the BeginEvent
-  /// candidate virtually bound. Pure and lock-free: safe from concurrent
-  /// decide shards. Inline: this runs once per (run, edge) on the hot path.
+  /// candidate virtually bound. Pure: reads the plan and the store's
+  /// columns. Inline: this runs once per (run, edge) on the hot path.
   FastVerdict EvalFast(const CompiledEdge& ce, size_t i) const {
     const BoundPred* preds = bound_.data() + ce.first;
     for (uint32_t p = 0; p < ce.count; ++p) {

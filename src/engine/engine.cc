@@ -24,6 +24,11 @@ constexpr EventTypeId kComplexEventTypeId = kInvalidEventType - 1;
 
 uint64_t TypeBit(EventTypeId type) { return 1ull << (type % 64); }
 
+/// EngineMetrics::parallel_events counts the events that met R(t) holding
+/// at least this many runs. The count feeds no decision; it stays because
+/// the engine.metrics snapshot section carries it.
+constexpr size_t kParallelEventsMinRuns = 256;
+
 }  // namespace
 
 const char* SelectionStrategyName(SelectionStrategy strategy) {
@@ -277,14 +282,10 @@ Engine::Engine(NfaPtr nfa, EngineOptions options, ShedderPtr shedder)
       options_(options),
       shedder_(std::move(shedder)),
       resilience_rng_(options.degradation.seed),
-      arena_(options.parallel.arena_block_runs),
+      arena_(options.arena_block_runs),
       scratch_empty_run_(0, nfa_->analyzed().num_variables(), 0, 0) {
   if (options_.degradation.enabled) {
     degradation_ = std::make_unique<DegradationController>(options_.degradation);
-  }
-  if (options_.parallel.threads > 1) {
-    owned_pool_ = std::make_unique<ThreadPool>(options_.parallel.threads);
-    pool_ = owned_pool_.get();
   }
   switch (options_.latency_mode) {
     case LatencyMode::kWallClock:
@@ -345,13 +346,6 @@ Engine::Engine(NfaPtr nfa, EngineOptions options, ShedderPtr shedder)
 }
 
 Engine::~Engine() = default;
-
-void Engine::SetThreadPool(ThreadPool* pool) {
-  pool_ = pool;
-  if (owned_pool_ != nullptr && pool_ != owned_pool_.get()) {
-    owned_pool_.reset();
-  }
-}
 
 Result<bool> Engine::EvalEdge(const Run& run, const Edge& edge,
                               const Event& event) {
@@ -426,31 +420,52 @@ Result<bool> Engine::TryEmit(const Run& run, Timestamp now) {
   return true;
 }
 
-void Engine::EvalRunRange(const Event& event, Timestamp now, size_t begin,
-                          size_t end, ShardScratch* scratch) {
-  const uint64_t ebit = TypeBit(event.type());
+Status Engine::AdvanceRuns(const EventPtr& event, Timestamp now,
+                           bool track_bytes, size_t* live_bytes,
+                           bool* any_dead) {
+  const uint64_t ebit = TypeBit(event->type());
   const Duration window = nfa_->window();
-  const bool in_place =
-      options_.selection != SelectionStrategy::kSkipTillAnyMatch;
+  const SelectionStrategy sel = options_.selection;
+  const bool strict = sel == SelectionStrategy::kStrictContiguity;
+  const bool in_place = sel != SelectionStrategy::kSkipTillAnyMatch;
   // Hot loop: expiry and state routing read the store's flat columns, and
   // compiled-fast edges evaluate against the gathered HotCell columns — a
   // non-advancing run is decided without ever dereferencing its Run object.
   const int32_t* states = run_store_.states();
   const int64_t* start_ts = run_store_.start_ts();
-  for (size_t i = begin; i < end; ++i) {
-    RunDecision decision;
+  const size_t n = run_store_.size();
+  Status error;  // a predicate error, returned once the run's edges applied
+  for (size_t i = 0; i < n; ++i) {
+    RunPtr& slot = run_store_.slot(i);
+    Run* run = slot.get();
+    const size_t run_bytes = track_bytes ? run->ApproxBytes() : 0;
+    *live_bytes += run_bytes;
+    const int32_t st = states[i];
+    const State& state = nfa_->state(st);
     if (now - start_ts[i] > window) {  // Run::Expired over the column
-      decision.flags = kDecisionExpired;
-      decisions_[i] = decision;
+      // A run waiting at a deferred final state (trailing negation) is
+      // confirmed by its window closing without a violation: emit now.
+      bool emitted = false;
+      if (state.deferred_final) {
+        CEP_ASSIGN_OR_RETURN(emitted, TryEmit(*run, now));
+      }
+      if (shedder_ != nullptr) shedder_->OnRunExpired(*run, now);
+      NoteRunOutcome(*run, now, emitted);
+      ++metrics_.runs_expired;
+      run_store_.Kill(i);
+      *live_bytes -= run_bytes;
+      *any_dead = true;
       continue;
     }
-    const int32_t st = states[i];
+
+    // Decide: which of the run's edges fire, and whether a kill edge holds.
+    fired_edges_.clear();
+    bool killed = false;
     if ((state_type_masks_[st] & ebit) != 0) {
-      const State& state = nfa_->state(st);
       for (size_t e = 0; e < state.edges.size(); ++e) {
         const Edge& edge = state.edges[e];
-        if (edge.event_type != event.type()) continue;
-        ++decision.ops;
+        if (edge.event_type != event->type()) continue;
+        ++ops_this_event_;
         bool passed;
         const BatchEvalPlan::CompiledEdge& ce = batch_plan_.edge(st, e);
         const FastVerdict verdict = ce.fast
@@ -458,160 +473,104 @@ void Engine::EvalRunRange(const Event& event, Timestamp now, size_t begin,
                                         : FastVerdict::kFallback;
         if (verdict != FastVerdict::kFallback) {
           passed = verdict == FastVerdict::kTrue;
-          ++decision.fast_ops;
+          ++metrics_.fast_path_edges;
         } else {
-          const Result<bool> pass = EvalEdge(*run_store_.at(i), edge, event);
+          Result<bool> pass = EvalEdge(*run, edge, *event);
           if (!pass.ok()) {
-            // The merge phase aborts the event exactly where the serial loop
-            // would have: after this run's earlier fired edges were applied.
-            decision.flags |= kDecisionError;
-            scratch->errors.emplace_back(i, pass.status());
+            error = pass.status();
             break;
           }
           passed = pass.ValueOrDie();
         }
         if (!passed) continue;
         if (edge.kind == EdgeKind::kKill) {
-          decision.flags |= kDecisionKilled;
+          killed = true;
           break;
         }
-        scratch->fired.push_back(static_cast<uint16_t>(e));
-        ++decision.fired;
+        fired_edges_.push_back(static_cast<uint16_t>(e));
         // Greedy strategies apply the first applicable transition in place
         // and stop scanning edges for this run.
         if (in_place) break;
       }
     }
-    decisions_[i] = decision;
-  }
-}
 
-Status Engine::ApplyDecisions(const EventPtr& event, Timestamp now,
-                              size_t num_shards, bool track_bytes,
-                              size_t* live_bytes, bool* any_dead) {
-  const SelectionStrategy sel = options_.selection;
-  const bool strict = sel == SelectionStrategy::kStrictContiguity;
-  const bool in_place = sel != SelectionStrategy::kSkipTillAnyMatch;
-  const size_t n = run_store_.size();
-  for (size_t s = 0; s < num_shards; ++s) {
-    const ShardScratch& scratch = shard_scratch_[s];
-    size_t fired_cursor = 0;
-    size_t error_cursor = 0;
-    const size_t shard_end = ShardBegin(s + 1, num_shards, n);
-    for (size_t i = ShardBegin(s, num_shards, n); i < shard_end; ++i) {
-      RunPtr& slot = run_store_.slot(i);
-      Run* run = slot.get();
-      const RunDecision decision = decisions_[i];
-      ops_this_event_ += decision.ops;
-      metrics_.fast_path_edges += decision.fast_ops;
-      const size_t run_bytes = track_bytes ? run->ApproxBytes() : 0;
-      *live_bytes += run_bytes;
-      if ((decision.flags & kDecisionExpired) != 0) {
-        // A run waiting at a deferred final state (trailing negation) is
-        // confirmed by its window closing without a violation: emit now.
-        bool emitted = false;
-        if (nfa_->state(run->state()).deferred_final) {
-          CEP_ASSIGN_OR_RETURN(emitted, TryEmit(*run, now));
+    // Apply the fired edges in edge order.
+    for (const uint16_t e : fired_edges_) {
+      const Edge& edge = state.edges[e];
+      if (!in_place) {
+        // Skip-till-any-match: branch; the original run survives untouched.
+        RunPtr child = run->Extend(next_run_id_++, edge.var_index, event,
+                                   edge.target, arena_ptr());
+        ++metrics_.runs_extended;
+        if (shedder_ != nullptr) {
+          shedder_->OnRunExtended(run, child.get(), *event, now);
         }
-        if (shedder_ != nullptr) shedder_->OnRunExpired(*run, now);
-        NoteRunOutcome(*run, now, emitted);
-        ++metrics_.runs_expired;
-        run_store_.Kill(i);
-        *live_bytes -= run_bytes;
-        *any_dead = true;
-        continue;
-      }
-      const State& state = nfa_->state(run->state());
-      for (uint16_t f = 0; f < decision.fired; ++f) {
-        const Edge& edge = state.edges[scratch.fired[fired_cursor + f]];
-        if (!in_place) {
-          // Skip-till-any-match: branch; the original run survives untouched.
-          RunPtr child = run->Extend(next_run_id_++, edge.var_index, event,
-                                     edge.target, arena_ptr());
-          ++metrics_.runs_extended;
-          if (shedder_ != nullptr) {
-            shedder_->OnRunExtended(run, child.get(), *event, now);
-          }
-          const State& target = nfa_->state(edge.target);
-          bool keep = true;
-          if (target.is_final) {
-            if (target.deferred_final) {
-              // Trailing negation: emission waits for the window to close.
-            } else {
-              const Result<bool> emitted = TryEmit(*child, now);
-              if (!emitted.ok()) {
-                // The child was counted in runs_extended but never joins
-                // R(t); book the exit so the conservation ledger closes.
-                ++metrics_.runs_aborted;
-                return emitted.status();
-              }
-              // A final state with outgoing edges is a trailing Kleene
-              // state: the child keeps collecting; a plain final state
-              // completes it.
-              keep = !target.edges.empty();
-            }
-          }
-          if (keep) {
-            new_runs_.push_back(std::move(child));
+        const State& target = nfa_->state(edge.target);
+        bool keep = true;
+        if (target.is_final) {
+          if (target.deferred_final) {
+            // Trailing negation: emission waits for the window to close.
           } else {
-            NoteRunOutcome(*child, now, /*completed=*/true);
-            ++metrics_.runs_completed;
-          }
-        } else {
-          run->Bind(edge.var_index, event, edge.target, arena_.cell_pool());
-          ++metrics_.runs_extended;
-          if (shedder_ != nullptr) {
-            shedder_->OnRunExtended(nullptr, run, *event, now);
-          }
-          const State& target = nfa_->state(edge.target);
-          if (target.is_final && !target.deferred_final) {
-            CEP_RETURN_NOT_OK(TryEmit(*run, now).status());
-            if (target.edges.empty()) {
-              NoteRunOutcome(*run, now, /*completed=*/true);
-              ++metrics_.runs_completed;
-              run_store_.Kill(i);
-              *live_bytes -= run_bytes;
-              *any_dead = true;
+            const Result<bool> emitted = TryEmit(*child, now);
+            if (!emitted.ok()) {
+              // The child was counted in runs_extended but never joins
+              // R(t); book the exit so the conservation ledger closes.
+              ++metrics_.runs_aborted;
+              return emitted.status();
             }
+            // A final state with outgoing edges is a trailing Kleene state:
+            // the child keeps collecting; a plain final state completes it.
+            keep = !target.edges.empty();
+          }
+        }
+        if (keep) {
+          new_runs_.push_back(std::move(child));
+        } else {
+          NoteRunOutcome(*child, now, /*completed=*/true);
+          ++metrics_.runs_completed;
+        }
+      } else {
+        run->Bind(edge.var_index, event, edge.target, arena_.cell_pool());
+        ++metrics_.runs_extended;
+        if (shedder_ != nullptr) {
+          shedder_->OnRunExtended(nullptr, run, *event, now);
+        }
+        const State& target = nfa_->state(edge.target);
+        if (target.is_final && !target.deferred_final) {
+          CEP_RETURN_NOT_OK(TryEmit(*run, now).status());
+          if (target.edges.empty()) {
+            NoteRunOutcome(*run, now, /*completed=*/true);
+            ++metrics_.runs_completed;
+            run_store_.Kill(i);
+            *live_bytes -= run_bytes;
+            *any_dead = true;
           }
         }
       }
-      fired_cursor += decision.fired;
-      if (in_place && decision.fired > 0 && slot != nullptr) {
-        // The greedy bind mutated the run in place: re-gather its columns
-        // and book the growth (run_bytes above was measured pre-mutation).
-        run_store_.Refresh(i);
-        if (track_bytes) *live_bytes += run->ApproxBytes() - run_bytes;
-      }
-      if ((decision.flags & kDecisionError) != 0) {
-        // Propagate the predicate error recorded for this run, after its
-        // earlier fired edges took effect (serial semantics).
-        while (error_cursor < scratch.errors.size() &&
-               scratch.errors[error_cursor].first != i) {
-          ++error_cursor;
-        }
-        return error_cursor < scratch.errors.size()
-                   ? scratch.errors[error_cursor].second
-                   : Status::Internal("lost shard evaluation error");
-      }
-      if ((decision.flags & kDecisionKilled) != 0) {
-        NoteRunOutcome(*run, now, /*completed=*/false);
-        ++metrics_.runs_killed;
-        run_store_.Kill(i);
-        *live_bytes -= run_bytes;
-        *any_dead = true;
-        continue;
-      }
-      if (strict && decision.fired == 0 && slot != nullptr &&
-          !nfa_->state(slot->state()).deferred_final) {
-        // Strict contiguity: an event that does not advance the run breaks
-        // it.
-        NoteRunOutcome(*slot, now, /*completed=*/false);
-        ++metrics_.runs_killed;
-        run_store_.Kill(i);
-        *live_bytes -= run_bytes;
-        *any_dead = true;
-      }
+    }
+    if (in_place && !fired_edges_.empty() && slot != nullptr) {
+      // The greedy bind mutated the run in place: re-gather its columns
+      // and book the growth (run_bytes above was measured pre-mutation).
+      run_store_.Refresh(i);
+      if (track_bytes) *live_bytes += run->ApproxBytes() - run_bytes;
+    }
+    if (!error.ok()) return error;
+    if (killed) {
+      NoteRunOutcome(*run, now, /*completed=*/false);
+      ++metrics_.runs_killed;
+      run_store_.Kill(i);
+      *live_bytes -= run_bytes;
+      *any_dead = true;
+      continue;
+    }
+    if (strict && fired_edges_.empty() && !state.deferred_final) {
+      // Strict contiguity: an event that does not advance the run breaks
+      // it.
+      NoteRunOutcome(*run, now, /*completed=*/false);
+      ++metrics_.runs_killed;
+      run_store_.Kill(i);
+      *live_bytes -= run_bytes;
+      *any_dead = true;
     }
   }
   return Status::OK();
@@ -714,8 +673,7 @@ Status Engine::ProcessEventInternal(const EventPtr& event) {
   // before the event was processed.
   const uint64_t busy_start_us = BusyClockMicros();
 
-  // Fetch this event's shared-predicate verdict row once, serially, before
-  // the evaluation phase fans out: shards read shared_row_ concurrently.
+  // Fetch this event's shared-predicate verdict row once for every run.
   shared_row_ = shared_preds_ != nullptr ? shared_preds_->RowFor(event.get())
                                          : nullptr;
 
@@ -794,48 +752,14 @@ Status Engine::ProcessEventInternal(const EventPtr& event) {
   size_t live_bytes = 0;
   bool any_dead = false;
 
-  // Evaluation phase: per-run verdicts, sharded across the pool when R(t)
-  // is large enough to amortize the dispatch. Decisions are identical for
-  // every shard count, so parallelism never changes results.
   const size_t n = run_store_.size();
-  size_t num_shards = 1;
-  // Eligibility is pool-independent (the run set alone decides), so the
-  // parallel_events metric — and every observability export derived from it
-  // — is byte-identical across --threads settings.
-  const bool parallel_eligible =
-      n > 0 && n >= options_.parallel.min_parallel_runs;
-  const bool sharded =
-      pool_ != nullptr && pool_->num_threads() > 1 && parallel_eligible;
-  if (sharded) {
-    num_shards = options_.parallel.shards > 0 ? options_.parallel.shards
-                                              : pool_->num_threads();
-    num_shards = std::min(num_shards, n);
-  }
-  if (parallel_eligible) ++metrics_.parallel_events;
-  // Encode the candidate's attributes once, serially: every shard's fast
-  // edge evaluations read this scratch row concurrently.
+  if (n >= kParallelEventsMinRuns) ++metrics_.parallel_events;
+  // Encode the candidate's attributes once per event for the fast path.
   if (n > 0) batch_plan_.BeginEvent(*event, run_store_);
-  decisions_.resize(n);
-  if (shard_scratch_.size() < num_shards) shard_scratch_.resize(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    shard_scratch_[s].fired.clear();
-    shard_scratch_[s].errors.clear();
-  }
-  if (sharded && num_shards > 1) {
-    pool_->ParallelFor(num_shards, [&](size_t s) {
-      EvalRunRange(*event, now, ShardBegin(s, num_shards, n),
-                   ShardBegin(s + 1, num_shards, n), &shard_scratch_[s]);
-    });
-  } else if (n > 0) {
-    EvalRunRange(*event, now, 0, n, &shard_scratch_[0]);
-  }
-
-  // Merge phase: serial, in run order — matches, model updates, and
-  // shedder bookkeeping replay exactly as the serial engine produced them.
-  const uint64_t ops_before_merge = ops_this_event_;
-  CEP_RETURN_NOT_OK(ApplyDecisions(event, now, num_shards, track_bytes,
-                                   &live_bytes, &any_dead));
-  const uint64_t eval_ops = ops_this_event_ - ops_before_merge;
+  const uint64_t ops_before = ops_this_event_;
+  CEP_RETURN_NOT_OK(
+      AdvanceRuns(event, now, track_bytes, &live_bytes, &any_dead));
+  const uint64_t eval_ops = ops_this_event_ - ops_before;
 
   // Spawn new runs from the initial state. kBypass sacrifices new pattern
   // instances to preserve the ones already in flight.
@@ -951,8 +875,7 @@ Status Engine::ProcessEventInternal(const EventPtr& event) {
         const uint64_t eval_dur = static_cast<uint64_t>(
             static_cast<double>(eval_ops) * options_.virtual_ns_per_op /
             1000.0);
-        tracer_->Span(parallel_eligible ? "eval_parallel" : "eval",
-                      busy_start_us, eval_dur, lane + 1, "runs", n);
+        tracer_->Span("eval", busy_start_us, eval_dur, lane + 1, "runs", n);
         tracer_->Span("merge", busy_start_us + eval_dur,
                       static_cast<uint64_t>(
                           static_cast<double>(n) * options_.virtual_ns_per_op /

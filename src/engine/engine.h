@@ -12,7 +12,6 @@
 #include "ckpt/manager.h"
 #include "ckpt/snapshot.h"
 #include "ckpt/state_component.h"
-#include "common/parallel.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "engine/batch_eval.h"
@@ -51,14 +50,11 @@ struct SharedPredRow;
 /// threshold θ — asks the installed Shedder to discard partial matches
 /// (state-based load shedding) and/or input events (input-based baselines).
 ///
-/// Per-event processing is split into a side-effect-free *evaluation* phase
-/// (predicate verdicts per run, shardable across a worker pool — see
-/// ParallelOptions and docs/PARALLELISM.md) and a serial *merge* phase that
-/// applies births, matches, and shedder bookkeeping in run order. Results
-/// are therefore bit-identical for any thread/shard configuration.
-///
-/// One engine is driven by one thread at a time; the worker pool is an
-/// internal implementation detail of ProcessEvent.
+/// Each event is evaluated in one serial pass over R(t): the pass decides
+/// which of a run's edges fire and applies them (births, matches, kills,
+/// shedder hooks) before it moves to the next run, so results follow run
+/// order exactly (docs/PARALLELISM.md). One engine is driven by one thread
+/// at a time; MultiEngine runs independent engines concurrently.
 class Engine {
  public:
   using MatchCallback = std::function<void(const Match&)>;
@@ -198,15 +194,6 @@ class Engine {
   /// Current quarantined-failure streak (error budget).
   size_t consecutive_errors() const { return consecutive_errors_; }
 
-  /// Shares an external worker pool for the evaluation phase (MultiEngine
-  /// hands all its engines one pool). Replaces any pool the engine owns;
-  /// nullptr reverts to serial evaluation. The pool must outlive the
-  /// engine's last ProcessEvent.
-  void SetThreadPool(ThreadPool* pool);
-
-  /// Pool used for sharded evaluation (null = serial).
-  ThreadPool* thread_pool() const { return pool_; }
-
   /// The run arena backing R(t) (allocation pooling stats).
   const RunArena& arena() const { return arena_; }
 
@@ -335,48 +322,18 @@ class Engine {
   std::string ExportQualityJson() const;
 
  private:
-  /// Per-run verdict computed by the evaluation phase. Fired edge indices
-  /// live in the owning shard's scratch, appended in run order, so the
-  /// merge phase consumes them with a cursor — no per-run allocation.
-  struct RunDecision {
-    uint32_t ops = 0;       ///< edge evaluations performed for this run
-    uint16_t fired = 0;     ///< passing-edge entries appended to shard scratch
-    uint16_t fast_ops = 0;  ///< ops decided by the compiled fast path
-    uint8_t flags = 0;      ///< kDecision* bits
-  };
-
-  static constexpr uint8_t kDecisionExpired = 1;
-  static constexpr uint8_t kDecisionKilled = 2;
-  static constexpr uint8_t kDecisionError = 4;
-
-  /// Per-shard evaluation scratch. Padded so adjacent shards' bookkeeping
-  /// does not false-share while workers append concurrently.
-  struct alignas(64) ShardScratch {
-    std::vector<uint16_t> fired;  ///< passing edge indices, run order
-    std::vector<std::pair<size_t, Status>> errors;  ///< (run index, status)
-  };
-
   /// Evaluates edge predicates with `event` virtually bound to
   /// `edge.var_index` of `run`. Exit predicates (if any) are checked first.
   Result<bool> EvalEdge(const Run& run, const Edge& edge, const Event& event);
 
-  /// Evaluation phase over runs_[begin, end): writes decisions_ and
-  /// `scratch`. Reads engine state but mutates nothing else — safe to run
-  /// on worker threads alongside other shards.
-  void EvalRunRange(const Event& event, Timestamp now, size_t begin,
-                    size_t end, ShardScratch* scratch);
-
-  /// Merge phase: applies the decisions in run order (expiry, kills,
-  /// extensions, emissions, shedder hooks), exactly reproducing serial
-  /// evaluation. `num_shards` must match the evaluation phase split.
-  Status ApplyDecisions(const EventPtr& event, Timestamp now,
-                        size_t num_shards, bool track_bytes,
-                        size_t* live_bytes, bool* any_dead);
-
-  /// Shard bounds: runs_[ShardBegin(s), ShardBegin(s+1)) for shard s.
-  size_t ShardBegin(size_t shard, size_t num_shards, size_t n) const {
-    return n * shard / num_shards;
-  }
+  /// The per-event pass over R(t): for each run in order, expires it or
+  /// decides which of its edges fire (and whether a kill edge holds), then
+  /// applies those edges — extensions, emissions, kills and shedder hooks —
+  /// before moving on. Births wait in new_runs_ and applying run i touches
+  /// slot i only, so no run's verdict depends on an earlier run's effects.
+  /// A predicate error returns after the run's earlier fired edges applied.
+  Status AdvanceRuns(const EventPtr& event, Timestamp now, bool track_bytes,
+                     size_t* live_bytes, bool* any_dead);
 
   /// Emits a match from `run` if the state's final predicates hold.
   /// Returns true if a match was emitted.
@@ -385,7 +342,7 @@ class Engine {
   Result<EventPtr> BuildComplexEvent(const Run& run);
 
   RunArena* arena_ptr() {
-    return options_.parallel.arena_block_runs > 0 ? &arena_ : nullptr;
+    return options_.arena_block_runs > 0 ? &arena_ : nullptr;
   }
   void TriggerShed(Timestamp now, double latency);
   void CompactRuns();
@@ -421,8 +378,8 @@ class Engine {
 
   /// Joins the model's prediction for `run` (when the shedder has one)
   /// against its actual exit outcome in the calibration monitor. Called at
-  /// every run exit in the serial merge phase, so observation order — and
-  /// the monitor's bytes — are deterministic.
+  /// every run exit, in run order, so observation order — and the
+  /// monitor's bytes — are deterministic.
   void NoteRunOutcome(const Run& run, Timestamp now, bool completed);
 
   /// One θ SLO sample: was µ(t) above the bound after this event?
@@ -478,12 +435,7 @@ class Engine {
   MatchCallback match_callback_;
   EngineMetrics metrics_;
 
-  // Worker pool for the evaluation phase: owned when options.parallel
-  // requests threads, or shared via SetThreadPool.
-  std::unique_ptr<ThreadPool> owned_pool_;
-  ThreadPool* pool_ = nullptr;
-  std::vector<RunDecision> decisions_;
-  std::vector<ShardScratch> shard_scratch_;
+  std::vector<uint16_t> fired_edges_;  ///< AdvanceRuns: the run's fired edges
 
   // Per-state bitmask over (event type id % 64): quick "any edge may react
   // to this event type" filter on the per-run hot loop.
@@ -495,8 +447,8 @@ class Engine {
   /// Shared-predicate verdict table (owned by MultiEngine's optimizer state;
   /// null for standalone engines and unoptimized fan-out).
   const opt::SharedPredTable* shared_preds_ = nullptr;
-  /// Verdict row of the event currently in flight. Written serially at the
-  /// top of ProcessEventInternal; evaluation-phase shards read it only.
+  /// Verdict row of the event currently in flight, fetched at the top of
+  /// ProcessEventInternal.
   const opt::SharedPredRow* shared_row_ = nullptr;
   uint64_t shared_skips_ = 0;
 

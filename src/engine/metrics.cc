@@ -61,7 +61,8 @@ constexpr EngineMetricField kEngineMetricFields[] = {
     CEP_METRIC_U64(reorder_buffered_peak, "cep_reorder_buffered_peak", false,
                    "Maximum events held for reordering"),
     CEP_METRIC_U64(parallel_events, "cep_parallel_events_total", true,
-                   "Events whose run set met the sharding threshold"),
+                   "Events with |R(t)| >= 256, kept for snapshot "
+                   "compatibility"),
     CEP_METRIC_U64(arena_bytes_reserved, "cep_arena_bytes_reserved", false,
                    "Peak bytes reserved by the run arena"),
     CEP_METRIC_U64(fast_path_edges, "cep_fast_path_edges_total", true,

@@ -56,12 +56,9 @@ struct EngineMetrics {
   uint64_t reorder_late_dropped = 0;  ///< events behind the watermark
   uint64_t reorder_buffered_peak = 0;  ///< max events held for reordering
 
-  // --- parallel evaluation / run arena (options.h ParallelOptions) ---------
-  /// Events whose run set met min_parallel_runs, i.e. whose evaluation phase
-  /// is sharded whenever a multi-lane pool is attached. Deliberately
-  /// pool-independent so every metric export is byte-identical across
-  /// --threads settings (the repo's determinism guarantee extends to
-  /// observability output).
+  // --- run-set size / run arena --------------------------------------------
+  /// Events that met |R(t)| >= 256. Kept for snapshot compatibility: the
+  /// engine.metrics snapshot section carries it.
   uint64_t parallel_events = 0;
   /// Peak bytes reserved by the run arena's slot blocks (0 with pooling
   /// disabled); compare against peak_run_bytes to validate the degradation

@@ -89,7 +89,6 @@ size_t MultiEngine::AddQuery(NfaPtr nfa, EngineOptions options,
   if (name.empty()) name = nfa->query().return_spec.event_name;
   engines_.push_back(
       std::make_unique<Engine>(std::move(nfa), options, std::move(shedder)));
-  if (pool_ != nullptr) engines_.back()->SetThreadPool(pool_.get());
   Engine* engine = engines_.back().get();
   engine->SetObsId(static_cast<uint32_t>(engines_.size() - 1));
   engine->AttachAuditLog(audit_log_);
@@ -149,7 +148,6 @@ Status MultiEngine::Optimize(const opt::OptOptions& options) {
     fresh->SetObsId(static_cast<uint32_t>(i));
     fresh->AttachAuditLog(audit_log_);
     fresh->AttachTracer(tracer_);
-    if (pool_ != nullptr) fresh->SetThreadPool(pool_.get());
     fresh->SetSharedPreds(&ir->preds);
     query_to_engine_[i] = rebuilt.size();
     rebuilt.push_back(std::move(fresh));
@@ -321,7 +319,6 @@ void MultiEngine::ExportMetrics(obs::Registry* registry) const {
 
 void MultiEngine::EnableParallel(size_t threads) {
   pool_ = threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
-  for (auto& engine : engines_) engine->SetThreadPool(pool_.get());
 }
 
 template <typename Fn>

@@ -25,7 +25,7 @@ namespace cep {
 /// work; this is the operational composition layer.
 ///
 /// EnableParallel(threads) runs independent engines concurrently on one
-/// shared worker pool with a barrier per event (or per batch): engines
+/// worker pool with a barrier per event (or per batch): engines
 /// share no mutable state, and each engine's own processing stays serial
 /// and deterministic, so per-engine matches and metrics are identical to
 /// serial fan-out. Match callbacks then fire concurrently across engines
@@ -83,16 +83,11 @@ class MultiEngine {
   /// The optimizer's durable state as checkpoint components ("opt.state").
   const ckpt::ComponentRegistry& opt_components();
 
-  /// Creates the shared worker pool (total width `threads`; 0 or 1 reverts
-  /// to serial fan-out). All current and future engines share the pool:
-  /// per-event they run concurrently, and an engine whose run set is large
-  /// enough also shards its own evaluation phase on the same pool when it
-  /// is the only engine active (nested use runs inline, so the pool is
-  /// never oversubscribed).
+  /// Creates the fan-out worker pool (total width `threads`; 0 or 1 reverts
+  /// to serial fan-out). Per event (or per batch) the engines run
+  /// concurrently, one engine per pool lane at a time; each engine's own
+  /// evaluation stays a serial pass over its run set.
   void EnableParallel(size_t threads);
-
-  /// Shared pool (null when serial).
-  ThreadPool* thread_pool() const { return pool_.get(); }
 
   /// Feeds `event` to every engine. Stops at the first error (serial) or
   /// reports the first engine's error after the barrier (parallel).

@@ -40,13 +40,6 @@ Result<EngineOptions> EngineOptions::Validated() const {
         "shed_amount.max_fraction must be in (0, 1], got %g",
         shed_amount.max_fraction));
   }
-  if (max_runs > 0 && parallel.shards > max_runs) {
-    return Invalid(StrFormat(
-        "parallel.shards (%llu) exceeds the run cap max_runs (%llu): every "
-        "shard would hold less than one run",
-        static_cast<unsigned long long>(parallel.shards),
-        static_cast<unsigned long long>(max_runs)));
-  }
   if (degradation.enabled) {
     if (!(degradation.shedding_enter_ratio < degradation.emergency_enter_ratio &&
           degradation.emergency_enter_ratio < degradation.bypass_enter_ratio)) {

@@ -111,32 +111,6 @@ struct ErrorBudgetOptions {
   size_t max_consecutive_errors = 16;
 };
 
-/// \brief Parallel evaluation and run-allocation configuration.
-///
-/// The engine's evaluation phase (predicate checks over R(t)) can run on a
-/// worker pool, sharded over the run set; the merge phase that applies
-/// births, matches, and shedder bookkeeping stays serial and in run order,
-/// so results are bit-identical for every (threads, shards) setting. See
-/// docs/PARALLELISM.md for the determinism contract and tuning notes.
-struct ParallelOptions {
-  /// Total evaluation lanes for intra-engine run sharding (0 or 1 =
-  /// serial). The engine owns a pool of this width unless one is shared in
-  /// via Engine::SetThreadPool.
-  size_t threads = 0;
-
-  /// Run-set shards per event (0 = one shard per pool lane). Affects only
-  /// load balance, never results.
-  size_t shards = 0;
-
-  /// Below this |R(t)| the engine evaluates serially even with a pool
-  /// attached: pool dispatch costs more than it saves on small run sets.
-  size_t min_parallel_runs = 256;
-
-  /// Run-arena block size in runs (engine/run_arena.h); 0 disables pooling
-  /// and allocates runs from the global heap.
-  size_t arena_block_runs = 512;
-};
-
 /// \brief Checkpoint/restore configuration (src/ckpt/,
 /// docs/CHECKPOINTING.md).
 ///
@@ -182,7 +156,7 @@ struct CheckpointOptions {
 struct ShadowOptions {
   /// Sample one span in `sample_every` (0 disables the shadow oracle,
   /// 1 mirrors every span). Selection is seeded and event-time based, so it
-  /// is identical across threads/shards/batch configurations.
+  /// is identical across batch sizes and fan-out widths.
   size_t sample_every = 0;
 
   /// Span width in event-time units (0 = 2x the query window, so most
@@ -271,8 +245,9 @@ struct EngineOptions {
   /// Poison tolerance for OfferEvent / ProcessStream.
   ErrorBudgetOptions error_budget;
 
-  /// Worker-pool evaluation and run-arena settings.
-  ParallelOptions parallel;
+  /// Run-arena block size in runs (engine/run_arena.h); 0 disables pooling
+  /// and allocates runs from the global heap.
+  size_t arena_block_runs = 512;
 
   /// Events pulled per ProcessStream batch (1 = event-at-a-time; must be
   /// >= 1 — Validated() rejects 0).
@@ -287,9 +262,8 @@ struct EngineOptions {
   /// Returns a copy of these options after cross-field validation, or an
   /// InvalidArgument Status naming the first conflicting setting. Call this
   /// before constructing an Engine: individual fields have sane defaults,
-  /// but combinations (a shard count above the run cap, restore-from under
-  /// fault injection, a zero batch size) only a whole-struct check can
-  /// reject.
+  /// but combinations (restore-from under fault injection, a zero batch
+  /// size) only a whole-struct check can reject.
   Result<EngineOptions> Validated() const;
 };
 

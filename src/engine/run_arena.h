@@ -26,9 +26,8 @@ namespace cep {
 /// run set occupies stays resident and traversal-friendly.
 ///
 /// Not thread-safe by design: each Engine owns one arena, and all run
-/// births/deaths happen on the engine's serial merge path (see
-/// docs/PARALLELISM.md), so no lock is needed even when the evaluation
-/// phase runs on the worker pool.
+/// births/deaths happen on the thread driving that engine (see
+/// docs/PARALLELISM.md), so no lock is needed.
 ///
 /// `bytes_reserved()` feeds EngineMetrics::arena_bytes_reserved so the
 /// degradation ladder's byte accounting can be checked against the real

@@ -42,14 +42,15 @@ struct HotAttr {
 /// The store owns the run slots (RunPtr, arena-backed) and mirrors the hot
 /// scalars every per-event probe reads — NFA state, window anchor, last-bound
 /// timestamp, size — plus one HotCell column per compiled run-side attribute,
-/// into parallel arrays. The decide phase then scans contiguous int32/int64
-/// columns instead of chasing a pointer per run, and only dereferences a Run
-/// for fallback evaluation and the serial merge. Live/victim masks are inline
-/// bitmaps (common/inline_bitmap.h). See docs/DATA_LAYOUT.md.
+/// into parallel arrays. The engine's per-event pass then scans contiguous
+/// int32/int64 columns instead of chasing a pointer per run, and only
+/// dereferences a Run for fallback evaluation and for runs that advance,
+/// expire or die. Live/victim masks are inline bitmaps
+/// (common/inline_bitmap.h). See docs/DATA_LAYOUT.md.
 ///
-/// Mutation discipline mirrors the engine's phases: columns are written only
-/// on the serial path (Push / Refresh / Kill / Compact), and the evaluation
-/// phase reads them concurrently without synchronization.
+/// Columns are written only through Push / Refresh / Kill / Compact. During
+/// the pass, Refresh(i) and Kill(i) touch row i alone, so the column
+/// pointers the pass holds stay valid.
 class RunStore {
  public:
   /// Installs the hot-attribute plan (owned by the caller, alive for the
@@ -89,7 +90,7 @@ class RunStore {
   /// Releases every run and empties all columns (checkpoint restore).
   void Clear();
 
-  // --- column access (decide phase) ----------------------------------------
+  // --- column access (per-event pass) ---------------------------------------
   const int32_t* states() const { return states_.data(); }
   const int64_t* start_ts() const { return start_ts_.data(); }
   const int64_t* last_ts() const { return last_ts_.data(); }

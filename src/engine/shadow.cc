@@ -31,8 +31,8 @@ ShadowOracle::ShadowOracle(NfaPtr nfa, const EngineOptions& primary_options)
     span_width_ = window > 0 ? 2 * window : 1;
   }
   // The ghost configuration is derived only from fields that do not vary
-  // with the primary's parallelism, so oracle state is byte-identical
-  // across threads/shards/batch settings of the primary.
+  // with the primary's execution settings, so oracle state is
+  // byte-identical across batch and arena settings of the primary.
   ghost_options_.selection = primary_options.selection;
   ghost_options_.latency_mode = LatencyMode::kVirtualCost;
   ghost_options_.latency_threshold_micros = 0.0;

@@ -33,9 +33,9 @@ class Engine;
 ///
 /// Determinism and non-interference contract:
 ///  - Span selection and bounds depend only on event timestamps and the
-///    seed, never on threads/shards/batch, wall clock, or shedding activity,
-///    so the oracle's state and exports are byte-identical across engine
-///    parallelism configurations.
+///    seed, never on batch size, fan-out width, wall clock, or shedding
+///    activity, so the oracle's state and exports are byte-identical across
+///    execution configurations.
 ///  - The oracle is driven strictly after the primary finishes an event
 ///    (outside its latency measurement) and never mutates primary state: a
 ///    ghost failure or run-set blow-up poisons the current span (counted in
@@ -47,8 +47,8 @@ class Engine;
 class ShadowOracle final : public ckpt::StateComponent {
  public:
   /// `primary_options` are the (validated) options of the owning engine;
-  /// the ghost derives a serial, shed-free configuration from them that is
-  /// independent of the primary's parallelism settings.
+  /// the ghost derives a shed-free configuration from them that is
+  /// independent of the primary's batch and arena settings.
   ShadowOracle(NfaPtr nfa, const EngineOptions& primary_options);
   ~ShadowOracle() override;
 

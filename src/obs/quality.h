@@ -25,9 +25,9 @@ namespace obs {
 /// before resolving), so they contribute to the shed-prediction averages but
 /// never to Brier/drift.
 ///
-/// All inputs arrive from the engine's serial merge phase in deterministic
+/// All inputs arrive from the engine's serial per-event pass in deterministic
 /// run order, so state — and therefore every export — is byte-identical
-/// across threads/shards/batch configurations.
+/// across batch sizes and MultiEngine fan-out widths.
 class CalibrationMonitor final : public ckpt::StateComponent {
  public:
   explicit CalibrationMonitor(size_t num_buckets = 10);

@@ -45,11 +45,10 @@ uint64_t FingerprintEngineOptions(const EngineOptions& o) {
   add(o.degradation.seed);
   add(o.error_budget.enabled ? 1 : 0);
   add(o.error_budget.max_consecutive_errors);
-  // parallel.*, batch_size, and checkpoint.* are deliberately excluded: the
-  // engine guarantees identical results and snapshot bytes across thread,
-  // shard, batch, and checkpoint-cadence settings, so they must not affect
-  // merge eligibility or the snapshot-embedded optimizer digest (a snapshot
-  // written on 4 threads restores onto 1).
+  // arena_block_runs, batch_size, and checkpoint.* are deliberately
+  // excluded: results are identical across arena, batch, and
+  // checkpoint-cadence settings, so they must not affect merge eligibility
+  // or the snapshot-embedded optimizer digest.
   add(o.quality.shadow.sample_every);
   add(static_cast<uint64_t>(o.quality.shadow.span_width));
   add(o.quality.shadow.seed);

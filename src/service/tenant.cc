@@ -97,16 +97,8 @@ Result<EngineOptions> MakeEngineOptionsFromSpec(
     return Status::InvalidArgument("selection must be 0, 1, or 2");
   }
   options.selection = static_cast<SelectionStrategy>(selection);
-  CEP_ASSIGN_OR_RETURN(uint64_t threads, KvUint(kv, "threads", 0));
-  options.parallel.threads = static_cast<size_t>(threads);
-  CEP_ASSIGN_OR_RETURN(uint64_t shards, KvUint(kv, "shards", 0));
-  options.parallel.shards = static_cast<size_t>(shards);
-  CEP_ASSIGN_OR_RETURN(
-      uint64_t min_parallel,
-      KvUint(kv, "minparallel", options.parallel.min_parallel_runs));
-  options.parallel.min_parallel_runs = static_cast<size_t>(min_parallel);
   CEP_ASSIGN_OR_RETURN(uint64_t arena, KvUint(kv, "arena", 0));
-  options.parallel.arena_block_runs = static_cast<size_t>(arena);
+  options.arena_block_runs = static_cast<size_t>(arena);
   CEP_ASSIGN_OR_RETURN(uint64_t batch, KvUint(kv, "batch", 1));
   options.batch_size = static_cast<size_t>(batch);
   // Poison events must not take down a tenant: the error budget is on by

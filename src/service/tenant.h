@@ -31,9 +31,10 @@ Result<std::map<std::string, std::string>> ParseKvSpec(std::string_view spec);
 /// session checkpoints all of a tenant's engines atomically); `quota_bytes`
 /// > 0 enables the degradation ladder with that byte budget.
 ///
-/// Recognised keys: theta fraction cooldown maxruns selection threads
-/// shards minparallel batch arena errorbudget (plus the shedder keys below,
-/// which MakeShedderFromSpec consumes).
+/// Recognised keys: theta fraction cooldown maxruns selection batch arena
+/// errorbudget (plus the shedder keys below, which MakeShedderFromSpec
+/// consumes). Other keys are ignored, so specs persisted with the retired
+/// threads/shards/minparallel keys still recover.
 Result<EngineOptions> MakeEngineOptionsFromSpec(
     const std::map<std::string, std::string>& kv, double default_theta,
     size_t quota_bytes);

@@ -99,11 +99,11 @@ struct ShedDecision {
 ///    contribution and resource-consumption statistics online. Hooks must be
 ///    O(1): the paper requires shedding decisions in constant time, and the
 ///    hooks are on the hot path even when the system is not overloaded.
-///    Merge-safety contract: the engine invokes every hook (and Decide) only
-///    from its serial merge phase, in deterministic run order, regardless of
-///    how many worker threads evaluate predicates (docs/PARALLELISM.md) —
-///    implementations therefore need no locking and may use seeded RNGs
-///    without losing reproducibility.
+///    Hook contract: the engine invokes every hook (and Decide) on the one
+///    thread driving it, in deterministic run order, from its serial
+///    per-event pass over R(t) (docs/PARALLELISM.md). One strategy instance
+///    serves one engine, so implementations need no locking and may use
+///    seeded RNGs without losing reproducibility.
 ///  * *Shedding decisions* — every decision flows through Decide(): the
 ///    engine probes the strategy on each arriving event (ShedContext::event
 ///    set) and runs a shed episode when overload is detected (µ(t) > θ,

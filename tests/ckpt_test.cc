@@ -1,7 +1,7 @@
 // Checkpoint/restore subsystem tests: snapshot format validation and
 // corruption taxonomy, checkpoint-directory recovery semantics, and the
 // tentpole property — a restored engine replays byte-identically to the
-// uninterrupted run, for every (threads, shards) configuration.
+// uninterrupted run, alone or fanned out beside other engines on a pool.
 
 #include <dirent.h>
 #include <sys/stat.h>
@@ -281,14 +281,10 @@ std::vector<EventPtr> MakeWorkload(BikeSchema& fixture, int n) {
   return events;
 }
 
-EngineOptions CheckpointedOptions(size_t threads, size_t shards,
-                                  bool with_quality = false) {
+EngineOptions CheckpointedOptions(bool with_quality = false) {
   EngineOptions options;
   options.collect_matches = true;
   options.max_runs = 96;  // deterministic overload trigger
-  options.parallel.threads = threads;
-  options.parallel.shards = shards;
-  options.parallel.min_parallel_runs = 1;
   if (with_quality) {
     options.quality.shadow.sample_every = 1;
     // The Kleene query explodes without the primary's max_runs cap; a small
@@ -330,17 +326,36 @@ struct RunOutcome {
   std::vector<std::string> matches;
 };
 
-RunOutcome Drive(Engine& engine, obs::ShedAuditLog& audit,
-                 const std::vector<EventPtr>& events, size_t from) {
-  for (size_t i = from; i < events.size(); ++i) {
-    CEP_EXPECT_OK(engine.OfferEvent(events[i]));
+/// `shards` copies of the checkpointed SBLS engine in one MultiEngine,
+/// fanned out on a `threads`-wide pool. Each copy has its own audit log: a
+/// shared one would interleave concurrent appends.
+struct Fleet {
+  Fleet(const NfaPtr& nfa, const EngineOptions& options,
+        const SchemaRegistry& registry, size_t threads, size_t shards) {
+    for (size_t i = 0; i < shards; ++i) {
+      multi.AddQuery(nfa, options, MakeSbls(registry));
+      audits.push_back(std::make_unique<obs::ShedAuditLog>());
+      multi.engine(i).AttachAuditLog(audits.back().get());
+    }
+    multi.EnableParallel(threads);
   }
+  MultiEngine multi;
+  std::vector<std::unique_ptr<obs::ShedAuditLog>> audits;
+};
+
+/// Feeds events[from..] to the fleet and describes query 0.
+RunOutcome Drive(Fleet& fleet, const std::vector<EventPtr>& events,
+                 size_t from) {
+  for (size_t i = from; i < events.size(); ++i) {
+    CEP_EXPECT_OK(fleet.multi.OfferEvent(events[i]));
+  }
+  Engine& engine = fleet.multi.engine(0);
   RunOutcome outcome;
   Result<std::string> snapshot = engine.SerializeSnapshot();
   CEP_EXPECT_OK(snapshot.status());
   if (snapshot.ok()) outcome.final_snapshot = snapshot.MoveValueUnsafe();
   outcome.metrics = engine.metrics().ToString();
-  outcome.audit = audit.ToJsonl();
+  outcome.audit = fleet.audits[0]->ToJsonl();
   outcome.quality = engine.ExportQualityJson();
   for (const Match& match : engine.matches()) {
     outcome.matches.push_back(match.ToString(engine.nfa().query()));
@@ -349,47 +364,44 @@ RunOutcome Drive(Engine& engine, obs::ShedAuditLog& audit,
 }
 
 TEST(EngineReplayTest, RestoredRunIsByteIdenticalAcrossThreadsAndShards) {
+  // Threads is the MultiEngine fan-out width; shards is the number of
+  // engines (copies of one checkpointed SBLS engine) each event is split
+  // over. A fleet resumed from a mid-stream snapshot must replay query 0
+  // byte-identically to the uninterrupted fleet in every configuration.
   BikeSchema fixture;
   const std::vector<EventPtr> events = MakeWorkload(fixture, 300);
   const size_t half = events.size() / 2;
 
   for (const size_t threads : {size_t{1}, size_t{4}}) {
-    for (const size_t shards : {size_t{1}, size_t{8}}) {
+    for (const size_t shards : {size_t{1}, size_t{3}}) {
     for (const bool with_quality : {false, true}) {
       SCOPED_TRACE(testing::Message()
                    << "threads=" << threads << " shards=" << shards
                    << " quality=" << with_quality);
       const NfaPtr nfa = fixture.Compile(kKleeneQuery);
       ASSERT_NE(nfa, nullptr);
-      const EngineOptions options =
-          CheckpointedOptions(threads, shards, with_quality);
+      const EngineOptions options = CheckpointedOptions(with_quality);
 
       // Uninterrupted baseline.
-      obs::ShedAuditLog baseline_audit;
-      Engine baseline(nfa, options, MakeSbls(fixture.registry));
-      baseline.AttachAuditLog(&baseline_audit);
-      const RunOutcome expected = Drive(baseline, baseline_audit, events, 0);
+      Fleet baseline(nfa, options, fixture.registry, threads, shards);
+      const RunOutcome expected = Drive(baseline, events, 0);
       ASSERT_FALSE(expected.final_snapshot.empty());
-      EXPECT_GT(baseline.metrics().shed_triggers, 0u)
+      EXPECT_GT(baseline.multi.engine(0).metrics().shed_triggers, 0u)
           << "workload never sheds; the test is not exercising SBLS state";
 
       // Interrupted at the midpoint: snapshot, then resume in a fresh
-      // engine and finish the stream.
-      obs::ShedAuditLog first_audit;
-      Engine first_half(nfa, options, MakeSbls(fixture.registry));
-      first_half.AttachAuditLog(&first_audit);
+      // fleet and finish the stream.
+      Fleet first_half(nfa, options, fixture.registry, threads, shards);
       for (size_t i = 0; i < half; ++i) {
-        CEP_ASSERT_OK(first_half.OfferEvent(events[i]));
+        CEP_ASSERT_OK(first_half.multi.OfferEvent(events[i]));
       }
       CEP_ASSERT_OK_AND_ASSIGN(std::string mid_snapshot,
-                               first_half.SerializeSnapshot());
+                               first_half.multi.SerializeSnapshot());
 
-      obs::ShedAuditLog resumed_audit;
-      Engine resumed(nfa, options, MakeSbls(fixture.registry));
-      resumed.AttachAuditLog(&resumed_audit);
-      CEP_ASSERT_OK(resumed.RestoreFromSnapshot(mid_snapshot));
-      EXPECT_EQ(resumed.stream_offset(), half);
-      const RunOutcome actual = Drive(resumed, resumed_audit, events, half);
+      Fleet resumed(nfa, options, fixture.registry, threads, shards);
+      CEP_ASSERT_OK(resumed.multi.RestoreFromSnapshot(mid_snapshot));
+      EXPECT_EQ(resumed.multi.stream_offset(), half);
+      const RunOutcome actual = Drive(resumed, events, half);
 
       EXPECT_EQ(actual.matches, expected.matches);
       EXPECT_EQ(actual.metrics, expected.metrics);
@@ -405,34 +417,49 @@ TEST(EngineReplayTest, RestoredRunIsByteIdenticalAcrossThreadsAndShards) {
 }
 
 TEST(EngineReplayTest, SnapshotIsIndependentOfThreadCount) {
-  // The snapshot written by a 4-thread engine must restore into a 1-thread
-  // engine (and vice versa): parallelism is execution strategy, not state.
+  // A MultiEngine snapshot written with a 4-thread fan-out pool equals the
+  // serial fan-out's and restores into it: threads are execution strategy,
+  // not state.
   BikeSchema fixture;
   const std::vector<EventPtr> events = MakeWorkload(fixture, 200);
-  const NfaPtr nfa = fixture.Compile(kKleeneQuery);
-  ASSERT_NE(nfa, nullptr);
+  const NfaPtr kleene = fixture.Compile(kKleeneQuery);
+  const NfaPtr pair = fixture.Compile(
+      "PATTERN SEQ(req a, unlock c) WHERE c.uid = a.uid WITHIN 30 min");
+  ASSERT_NE(kleene, nullptr);
+  ASSERT_NE(pair, nullptr);
+  auto build = [&](MultiEngine& multi, size_t threads) {
+    multi.AddQuery(kleene, CheckpointedOptions(), MakeSbls(fixture.registry),
+                   "kleene");
+    multi.AddQuery(pair, CheckpointedOptions(),
+                   std::make_unique<RandomShedder>(11), "pair");
+    multi.EnableParallel(threads);
+  };
 
-  Engine parallel_engine(nfa, CheckpointedOptions(4, 8),
-                         MakeSbls(fixture.registry));
+  MultiEngine parallel;
+  build(parallel, 4);
   for (const EventPtr& event : events) {
-    CEP_ASSERT_OK(parallel_engine.OfferEvent(event));
+    CEP_ASSERT_OK(parallel.OfferEvent(event));
   }
   CEP_ASSERT_OK_AND_ASSIGN(std::string parallel_snapshot,
-                           parallel_engine.SerializeSnapshot());
+                           parallel.SerializeSnapshot());
 
-  Engine serial_engine(nfa, CheckpointedOptions(1, 1),
-                       MakeSbls(fixture.registry));
+  MultiEngine serial;
+  build(serial, 1);
   for (const EventPtr& event : events) {
-    CEP_ASSERT_OK(serial_engine.OfferEvent(event));
+    CEP_ASSERT_OK(serial.OfferEvent(event));
   }
   CEP_ASSERT_OK_AND_ASSIGN(std::string serial_snapshot,
-                           serial_engine.SerializeSnapshot());
+                           serial.SerializeSnapshot());
   EXPECT_EQ(parallel_snapshot, serial_snapshot);
 
-  Engine restored(nfa, CheckpointedOptions(1, 1), MakeSbls(fixture.registry));
+  MultiEngine restored;
+  build(restored, 1);
   CEP_ASSERT_OK(restored.RestoreFromSnapshot(parallel_snapshot));
-  EXPECT_EQ(restored.num_runs(), parallel_engine.num_runs());
-  EXPECT_EQ(restored.matches().size(), parallel_engine.matches().size());
+  EXPECT_EQ(restored.TotalRuns(), parallel.TotalRuns());
+  for (size_t q = 0; q < parallel.num_queries(); ++q) {
+    EXPECT_EQ(restored.engine(q).matches().size(),
+              parallel.engine(q).matches().size());
+  }
 }
 
 TEST(EngineReplayTest, RestoreIntoDifferentShedderIsConfigMismatch) {
@@ -441,7 +468,7 @@ TEST(EngineReplayTest, RestoreIntoDifferentShedderIsConfigMismatch) {
   const NfaPtr nfa = fixture.Compile(kKleeneQuery);
   ASSERT_NE(nfa, nullptr);
 
-  Engine sbls_engine(nfa, CheckpointedOptions(1, 1),
+  Engine sbls_engine(nfa, CheckpointedOptions(),
                      MakeSbls(fixture.registry));
   for (const EventPtr& event : events) {
     CEP_ASSERT_OK(sbls_engine.OfferEvent(event));
@@ -452,7 +479,7 @@ TEST(EngineReplayTest, RestoreIntoDifferentShedderIsConfigMismatch) {
   // The shedder kind is encoded in the section name ("shedder.SBLS"), so a
   // restore into an RBLS engine fails loudly instead of silently mixing
   // learned state across strategies.
-  Engine rbls_engine(nfa, CheckpointedOptions(1, 1),
+  Engine rbls_engine(nfa, CheckpointedOptions(),
                      std::make_unique<RandomShedder>(1));
   const Status status = rbls_engine.RestoreFromSnapshot(snapshot);
   ASSERT_FALSE(status.ok());
@@ -466,7 +493,7 @@ TEST(EngineReplayTest, CheckpointDirectoryEndToEnd) {
   const NfaPtr nfa = fixture.Compile(kKleeneQuery);
   ASSERT_NE(nfa, nullptr);
 
-  EngineOptions options = CheckpointedOptions(1, 1);
+  EngineOptions options = CheckpointedOptions();
   options.checkpoint.directory = dir;
   options.checkpoint.interval_events = 50;
   options.checkpoint.synchronous = true;
@@ -481,7 +508,7 @@ TEST(EngineReplayTest, CheckpointDirectoryEndToEnd) {
 
   // Restore from the directory (newest valid snapshot = offset 250) and
   // compare against a cold run over the same events.
-  EngineOptions restore_options = CheckpointedOptions(1, 1);
+  EngineOptions restore_options = CheckpointedOptions();
   Engine restored(nfa, restore_options, MakeSbls(fixture.registry));
   CEP_ASSERT_OK(restored.RestoreFromFile(dir));
   EXPECT_EQ(restored.stream_offset(), 250u);
@@ -508,9 +535,9 @@ TEST(MultiEngineCheckpointTest, RoundTripAcrossQueries) {
   ASSERT_NE(nfa_b, nullptr);
 
   auto build = [&](MultiEngine& multi) {
-    multi.AddQuery(nfa_a, CheckpointedOptions(1, 1),
+    multi.AddQuery(nfa_a, CheckpointedOptions(),
                    MakeSbls(fixture.registry), "kleene");
-    multi.AddQuery(nfa_b, CheckpointedOptions(1, 1),
+    multi.AddQuery(nfa_b, CheckpointedOptions(),
                    std::make_unique<RandomShedder>(11), "pair");
   };
 
@@ -541,7 +568,7 @@ TEST(MultiEngineCheckpointTest, RoundTripAcrossQueries) {
 
   // Query-count mismatch is a configuration error, not silent truncation.
   MultiEngine wrong_count;
-  wrong_count.AddQuery(nfa_a, CheckpointedOptions(1, 1),
+  wrong_count.AddQuery(nfa_a, CheckpointedOptions(),
                        MakeSbls(fixture.registry), "kleene");
   const Status status = wrong_count.RestoreFromSnapshot(mid);
   ASSERT_FALSE(status.ok());

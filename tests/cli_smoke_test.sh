@@ -53,13 +53,22 @@ fi
     --stats-interval-events 100 2> "$WORKDIR/snapshots.txt" > /dev/null
 grep -q "stats\[" "$WORKDIR/snapshots.txt"
 
+# A single query is evaluated serially: --threads above 1 needs --queries.
+if "$CLI" run --schema bike --query "$QUERY" --input "$WORKDIR/bike.csv" \
+    --threads 2 > /dev/null 2> "$WORKDIR/threads_err.txt"; then
+  echo "expected --threads 2 without --queries to fail" >&2
+  exit 1
+fi
+grep -q "InvalidArgument" "$WORKDIR/threads_err.txt"
+grep -q -- "--queries" "$WORKDIR/threads_err.txt"
+
 # Checkpoint/restore path: a checkpointed run and a crash-interrupted-then-
 # resumed run over the same input must produce byte-identical outputs, and
 # snapshot corruption must be detected, skipped, or rejected as appropriate.
 "$CLI" generate --workload bike --out "$WORKDIR/crash.csv" \
     --duration-hours 48 --seed 11 > /dev/null
 CKPT_FLAGS="--schema bike --input $WORKDIR/crash.csv --shedder sbls \
-    --max-runs 5 --hash req:loc --threads 2"
+    --max-runs 5 --hash req:loc"
 
 # Baseline: uninterrupted run, checkpointing every 100 events.
 "$CLI" run $CKPT_FLAGS --query "$QUERY" \

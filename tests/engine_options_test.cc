@@ -85,16 +85,6 @@ TEST(EngineOptionsValidatedTest, RejectsAdaptiveMaxFractionOutOfRange) {
   EXPECT_TRUE(options.Validated().ok());
 }
 
-TEST(EngineOptionsValidatedTest, RejectsMoreShardsThanRunCap) {
-  EngineOptions options;
-  options.max_runs = 4;
-  options.parallel.shards = 8;
-  EXPECT_TRUE(RejectedMentioning(options, "shards"));
-  // No cap: any shard count is fine.
-  options.max_runs = 0;
-  EXPECT_TRUE(options.Validated().ok());
-}
-
 TEST(EngineOptionsValidatedTest, RejectsNonIncreasingDegradationRatios) {
   EngineOptions options;
   options.degradation.enabled = true;

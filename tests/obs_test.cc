@@ -308,15 +308,12 @@ std::vector<EventPtr> StateGrowthEvents(BikeSchema* fixture, int n) {
   return events;
 }
 
-EngineOptions ObsWorkloadOptions(size_t threads, size_t shards) {
+EngineOptions ObsWorkloadOptions() {
   EngineOptions options;
   options.latency_mode = LatencyMode::kVirtualCost;
   options.latency_threshold_micros = 40.0;
   options.latency_window_events = 32;
   options.shed_cooldown_events = 32;
-  options.parallel.threads = threads;
-  options.parallel.shards = shards;
-  options.parallel.min_parallel_runs = 1;
   options.max_runs = 1024;
   return options;
 }
@@ -334,29 +331,39 @@ struct ObsExports {
   uint64_t audit_appended = 0;
 };
 
-ObsExports RunObsWorkload(const std::vector<EventPtr>& events, size_t threads,
-                          size_t shards) {
+/// Runs a Kleene SBLS query (query 0) beside a shedder-free sibling on a
+/// `threads`-wide MultiEngine fan-out with one shared tracer and audit log.
+/// Only query 0 sheds, so the audit log has one writer and a fixed order;
+/// the counters describe query 0.
+ObsExports RunObsWorkload(const std::vector<EventPtr>& events,
+                          size_t threads) {
   BikeSchema fixture;  // schemas are only used at compile time here
-  NfaPtr nfa = fixture.Compile(
-      "PATTERN SEQ(req a, avail+ b[], unlock c) "
-      "WHERE a.loc = b[i].loc, c.uid = a.uid WITHIN 30 min");
   StateShedderOptions shed_options;
   shed_options.time_slices = 4;
-  auto shedder =
-      std::make_unique<StateShedder>(shed_options, &fixture.registry);
-  Engine engine(nfa, ObsWorkloadOptions(threads, shards), std::move(shedder));
+  MultiEngine multi;
+  multi.AddQuery(fixture.Compile("PATTERN SEQ(req a, avail+ b[], unlock c) "
+                                 "WHERE a.loc = b[i].loc, c.uid = a.uid "
+                                 "WITHIN 30 min"),
+                 ObsWorkloadOptions(),
+                 std::make_unique<StateShedder>(shed_options,
+                                                &fixture.registry));
+  multi.AddQuery(fixture.Compile("PATTERN SEQ(req a, unlock c) "
+                                 "WHERE c.uid = a.uid WITHIN 30 min"),
+                 ObsWorkloadOptions());
+  multi.EnableParallel(threads);
 
   obs::ShedAuditLog audit;
   obs::Tracer tracer;
-  engine.AttachAuditLog(&audit);
-  engine.AttachTracer(&tracer);
-  EXPECT_TRUE(engine
+  multi.AttachAuditLog(&audit);
+  multi.AttachTracer(&tracer);
+  EXPECT_TRUE(multi
                   .ProcessBatch(std::span<const EventPtr>(events.data(),
                                                           events.size()))
                   .ok());
 
   obs::Registry registry;
-  engine.ExportMetrics(&registry);
+  multi.ExportMetrics(&registry);
+  const Engine& engine = multi.engine(0);
   ObsExports out;
   out.prom = registry.ToPrometheusText();
   out.json = registry.ToJson();
@@ -374,19 +381,16 @@ ObsExports RunObsWorkload(const std::vector<EventPtr>& events, size_t threads,
 TEST(ObsEngineTest, ExportsAreByteIdenticalAcrossThreadCounts) {
   BikeSchema fixture;
   const std::vector<EventPtr> events = StateGrowthEvents(&fixture, 900);
-  const ObsExports serial = RunObsWorkload(events, /*threads=*/0,
-                                           /*shards=*/0);
+  const ObsExports serial = RunObsWorkload(events, /*threads=*/1);
   ASSERT_GT(serial.runs_shed, 0u) << "workload must trigger shedding";
   ASSERT_FALSE(serial.audit.empty());
   ASSERT_NE(serial.trace.find("\"name\":\"event\""), std::string::npos);
 
-  const size_t configs[][2] = {{1, 4}, {2, 4}, {4, 4}, {4, 8}};
-  for (const auto& config : configs) {
-    SCOPED_TRACE("threads=" + std::to_string(config[0]) +
-                 " shards=" + std::to_string(config[1]));
-    const ObsExports other = RunObsWorkload(events, config[0], config[1]);
-    // The determinism contract (docs/PARALLELISM.md) extends to every
-    // observability surface: byte-for-byte equal exports.
+  for (const size_t threads : {2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const ObsExports other = RunObsWorkload(events, threads);
+    // Every observability surface is byte-for-byte equal whether the
+    // engines run one after another or concurrently on the pool.
     EXPECT_EQ(serial.prom, other.prom);
     EXPECT_EQ(serial.json, other.json);
     EXPECT_EQ(serial.trace, other.trace);
@@ -397,7 +401,7 @@ TEST(ObsEngineTest, ExportsAreByteIdenticalAcrossThreadCounts) {
 TEST(ObsEngineTest, HistogramsAndAuditTrackEngineCounters) {
   BikeSchema fixture;
   const std::vector<EventPtr> events = StateGrowthEvents(&fixture, 600);
-  const ObsExports run = RunObsWorkload(events, /*threads=*/0, /*shards=*/0);
+  const ObsExports run = RunObsWorkload(events, /*threads=*/1);
 
   EXPECT_EQ(run.events_processed, 600u);
   // One busy-latency sample per processed event, one episode-duration
@@ -410,7 +414,7 @@ TEST(ObsEngineTest, HistogramsAndAuditTrackEngineCounters) {
   // The trace covers every instrumented phase of this workload.
   EXPECT_NE(run.trace.find("\"name\":\"ingest_batch\""), std::string::npos);
   EXPECT_NE(run.trace.find("\"name\":\"event\""), std::string::npos);
-  EXPECT_NE(run.trace.find("\"name\":\"eval_parallel\""), std::string::npos);
+  EXPECT_NE(run.trace.find("\"name\":\"eval\""), std::string::npos);
   EXPECT_NE(run.trace.find("\"name\":\"merge\""), std::string::npos);
   EXPECT_NE(run.trace.find("\"name\":\"shed_episode\""), std::string::npos);
 
@@ -438,7 +442,7 @@ TEST(ObsEngineTest, ShedCallbackSeesEveryVictim) {
   shed_options.time_slices = 4;
   auto shedder =
       std::make_unique<StateShedder>(shed_options, &fixture.registry);
-  Engine engine(nfa, ObsWorkloadOptions(0, 0), std::move(shedder));
+  Engine engine(nfa, ObsWorkloadOptions(), std::move(shedder));
 
   uint64_t callbacks = 0;
   bool ids_consistent = true;

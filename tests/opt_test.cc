@@ -499,13 +499,13 @@ TEST(FingerprintTest, ExcludesExecutionLayoutOptions) {
   EngineOptions base;
   const uint64_t digest = opt::FingerprintEngineOptions(base);
 
-  // Thread/shard/batch/checkpoint settings never change results or snapshot
-  // bytes, so they must not affect merge eligibility.
-  EngineOptions threaded = base;
-  threaded.parallel.shards = 8;
-  threaded.parallel.min_parallel_runs = 2;
-  threaded.batch_size = 64;
-  EXPECT_EQ(opt::FingerprintEngineOptions(threaded), digest);
+  // Arena/batch/checkpoint settings never change results, so they must not
+  // affect merge eligibility.
+  EngineOptions layout = base;
+  layout.arena_block_runs = 64;
+  layout.batch_size = 64;
+  layout.checkpoint.interval_events = 7;
+  EXPECT_EQ(opt::FingerprintEngineOptions(layout), digest);
 
   // Semantics-bearing options must.
   EngineOptions strict = base;

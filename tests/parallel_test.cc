@@ -1,7 +1,6 @@
-// Tests for the parallel batched evaluation core: the ThreadPool, the
-// RunArena, and — most importantly — the determinism contract: a K-shard
-// engine fed batches of any size must produce bit-identical matches,
-// metrics, and shed decisions to the serial engine (docs/PARALLELISM.md).
+// Tests for the ThreadPool, the RunArena, batch feeding, and MultiEngine
+// fan-out across queries: results are bit-identical for any batch size and
+// any fan-out width (docs/PARALLELISM.md).
 
 #include <gtest/gtest.h>
 
@@ -38,18 +37,6 @@ TEST(ParallelThreadPoolTest, ReusableAcrossJobs) {
     pool.ParallelFor(10, [&](size_t i) { sum.fetch_add(i + 1); });
     EXPECT_EQ(sum.load(), 55u);
   }
-}
-
-TEST(ParallelThreadPoolTest, NestedCallsRunInline) {
-  ThreadPool pool(4);
-  std::atomic<int> inner_total{0};
-  pool.ParallelFor(8, [&](size_t) {
-    EXPECT_TRUE(ThreadPool::InParallelRegion());
-    // A nested loop must not deadlock on the already-busy pool.
-    pool.ParallelFor(4, [&](size_t) { inner_total.fetch_add(1); });
-  });
-  EXPECT_EQ(inner_total.load(), 32);
-  EXPECT_FALSE(ThreadPool::InParallelRegion());
 }
 
 TEST(ParallelThreadPoolTest, WidthOneRunsInline) {
@@ -118,19 +105,10 @@ TEST(ParallelRunArenaTest, PooledRunsBehaveLikeHeapRuns) {
   EXPECT_EQ(child->binding(0).front()->timestamp(), kMinute);
 }
 
-// --- Serial vs. sharded determinism ---------------------------------------
-
-struct EngineOutcome {
-  std::vector<uint64_t> match_fingerprints;
-  std::vector<uint64_t> match_ids;
-  std::vector<uint64_t> final_run_ids;
-  EngineMetrics metrics;
-  size_t num_runs = 0;
-  DegradationLevel level = DegradationLevel::kHealthy;
-};
+// --- Batch and fan-out determinism -----------------------------------------
 
 /// A seeded workload whose Kleene query piles up runs and whose θ is tuned
-/// so the shedder (and, when enabled, the degradation ladder) engages.
+/// so the shedder engages.
 std::vector<EventPtr> StateGrowthEvents(BikeSchema* fixture, int n) {
   std::vector<EventPtr> events;
   events.reserve(static_cast<size_t>(n));
@@ -152,125 +130,17 @@ std::vector<EventPtr> StateGrowthEvents(BikeSchema* fixture, int n) {
   return events;
 }
 
-EngineOptions DeterminismOptions(size_t threads, size_t shards,
-                                 bool degradation) {
+EngineOptions DeterminismOptions() {
   EngineOptions options;
   options.latency_mode = LatencyMode::kVirtualCost;
   options.latency_threshold_micros = 40.0;
   options.latency_window_events = 32;
   options.shed_cooldown_events = 32;
-  options.parallel.threads = threads;
-  options.parallel.shards = shards;
-  options.parallel.min_parallel_runs = 1;  // force the sharded path
   // Hard cap: the skip-till-any Kleene workload doubles runs per matching
   // avail, which outruns cooldown-gated latency shedding. The cap keeps the
   // test bounded while still forcing shed decisions on (almost) every event.
   options.max_runs = 1024;
-  if (degradation) {
-    options.degradation.enabled = true;
-    options.degradation.cooldown_events = 16;
-    options.degradation.run_bytes_budget = 1 << 16;
-  }
   return options;
-}
-
-EngineOutcome RunDeterminismWorkload(const std::vector<EventPtr>& events,
-                                     size_t threads, size_t shards,
-                                     size_t batch_size, bool degradation) {
-  BikeSchema fixture;  // schemas are only used at compile time here
-  NfaPtr nfa = fixture.Compile(
-      "PATTERN SEQ(req a, avail+ b[], unlock c) "
-      "WHERE a.loc = b[i].loc, c.uid = a.uid WITHIN 30 min");
-  StateShedderOptions shed_options;
-  shed_options.time_slices = 4;
-  auto shedder =
-      std::make_unique<StateShedder>(shed_options, &fixture.registry);
-  Engine engine(nfa, DeterminismOptions(threads, shards, degradation),
-                std::move(shedder));
-  EXPECT_TRUE(engine.ProcessBatch(std::span<const EventPtr>(
-                                      events.data(), events.size()))
-                  .ok());
-  // Exercise sub-batch splits as the stream API would produce them.
-  (void)batch_size;
-  EngineOutcome outcome;
-  for (const Match& match : engine.matches()) {
-    outcome.match_fingerprints.push_back(match.fingerprint);
-    outcome.match_ids.push_back(match.id);
-  }
-  for (const auto& run : engine.runs()) {
-    outcome.final_run_ids.push_back(run->id());
-  }
-  outcome.metrics = engine.metrics();
-  outcome.num_runs = engine.num_runs();
-  outcome.level = engine.degradation_level();
-  return outcome;
-}
-
-/// Fields that must be bit-identical across every (threads, shards, batch)
-/// configuration. parallel_events and busy_micros are configuration-
-/// dependent by design and excluded.
-void ExpectSameOutcome(const EngineOutcome& base, const EngineOutcome& other,
-                       const std::string& label) {
-  SCOPED_TRACE(label);
-  EXPECT_EQ(base.match_fingerprints, other.match_fingerprints);
-  EXPECT_EQ(base.match_ids, other.match_ids);
-  EXPECT_EQ(base.final_run_ids, other.final_run_ids);
-  EXPECT_EQ(base.num_runs, other.num_runs);
-  EXPECT_EQ(base.level, other.level);
-  const EngineMetrics& a = base.metrics;
-  const EngineMetrics& b = other.metrics;
-  EXPECT_EQ(a.events_processed, b.events_processed);
-  EXPECT_EQ(a.events_dropped, b.events_dropped);
-  EXPECT_EQ(a.runs_created, b.runs_created);
-  EXPECT_EQ(a.runs_extended, b.runs_extended);
-  EXPECT_EQ(a.runs_expired, b.runs_expired);
-  EXPECT_EQ(a.runs_killed, b.runs_killed);
-  EXPECT_EQ(a.runs_shed, b.runs_shed);
-  EXPECT_EQ(a.shed_triggers, b.shed_triggers);
-  EXPECT_EQ(a.matches_emitted, b.matches_emitted);
-  EXPECT_EQ(a.edge_evaluations, b.edge_evaluations);
-  EXPECT_EQ(a.peak_runs, b.peak_runs);
-  EXPECT_EQ(a.degradation_ups, b.degradation_ups);
-  EXPECT_EQ(a.degradation_downs, b.degradation_downs);
-  EXPECT_EQ(a.bypassed_spawns, b.bypassed_spawns);
-  EXPECT_EQ(a.emergency_input_drops, b.emergency_input_drops);
-  EXPECT_EQ(a.peak_run_bytes, b.peak_run_bytes);
-}
-
-TEST(ParallelDeterminismTest, ShardedMatchesSerialWithShedding) {
-  BikeSchema fixture;
-  const std::vector<EventPtr> events = StateGrowthEvents(&fixture, 1200);
-  const EngineOutcome serial =
-      RunDeterminismWorkload(events, /*threads=*/0, /*shards=*/0,
-                             /*batch_size=*/1, /*degradation=*/false);
-  ASSERT_GT(serial.metrics.matches_emitted, 0u);
-  ASSERT_GT(serial.metrics.runs_shed, 0u) << "workload must trigger shedding";
-  for (size_t shards : {1u, 2u, 4u, 8u}) {
-    const EngineOutcome sharded = RunDeterminismWorkload(
-        events, /*threads=*/4, shards, /*batch_size=*/1,
-        /*degradation=*/false);
-    if (shards > 1) {
-      EXPECT_GT(sharded.metrics.parallel_events, 0u)
-          << "sharded path was not exercised";
-    }
-    ExpectSameOutcome(serial, sharded,
-                      "shards=" + std::to_string(shards));
-  }
-}
-
-TEST(ParallelDeterminismTest, ShardedMatchesSerialUnderDegradationLadder) {
-  BikeSchema fixture;
-  const std::vector<EventPtr> events = StateGrowthEvents(&fixture, 1500);
-  const EngineOutcome serial =
-      RunDeterminismWorkload(events, 0, 0, 1, /*degradation=*/true);
-  ASSERT_GT(serial.metrics.degradation_ups, 0u)
-      << "ladder must engage for this test to bite";
-  for (size_t shards : {2u, 4u, 8u}) {
-    const EngineOutcome sharded =
-        RunDeterminismWorkload(events, 4, shards, 1, /*degradation=*/true);
-    ExpectSameOutcome(serial, sharded,
-                      "ladder shards=" + std::to_string(shards));
-  }
 }
 
 TEST(ParallelDeterminismTest, BatchSizeDoesNotChangeResults) {
@@ -280,7 +150,7 @@ TEST(ParallelDeterminismTest, BatchSizeDoesNotChangeResults) {
       "PATTERN SEQ(req a, avail+ b[], unlock c) "
       "WHERE a.loc = b[i].loc, c.uid = a.uid WITHIN 30 min");
   auto run_with_batch = [&](size_t batch_size) {
-    Engine engine(nfa, DeterminismOptions(2, 4, false),
+    Engine engine(nfa, DeterminismOptions(),
                   std::make_unique<StateShedder>(StateShedderOptions{},
                                                  &fixture.registry));
     VectorEventStream stream(events);
@@ -294,34 +164,6 @@ TEST(ParallelDeterminismTest, BatchSizeDoesNotChangeResults) {
   ASSERT_GT(batch1.second, 0u);
   EXPECT_EQ(batch1.first, batch64.first);
   EXPECT_EQ(batch1.second, batch64.second);
-}
-
-TEST(ParallelDeterminismTest, SelectionStrategiesSurviveSharding) {
-  // The in-place (greedy) strategies take a different merge path; cover
-  // them explicitly.
-  BikeSchema fixture;
-  const std::vector<EventPtr> events = StateGrowthEvents(&fixture, 600);
-  NfaPtr nfa = fixture.Compile(
-      "PATTERN SEQ(req a, avail+ b[], unlock c) "
-      "WHERE a.loc = b[i].loc WITHIN 20 min");
-  for (SelectionStrategy sel : {SelectionStrategy::kSkipTillNextMatch,
-                                SelectionStrategy::kStrictContiguity}) {
-    auto run_config = [&](size_t threads, size_t shards) {
-      EngineOptions options = DeterminismOptions(threads, shards, false);
-      options.selection = sel;
-      Engine engine(nfa, options);
-      EXPECT_TRUE(engine
-                      .ProcessBatch(std::span<const EventPtr>(events.data(),
-                                                              events.size()))
-                      .ok());
-      return std::make_pair(engine.metrics().matches_emitted,
-                            engine.metrics().runs_killed);
-    };
-    const auto serial = run_config(0, 0);
-    const auto sharded = run_config(3, 5);
-    EXPECT_EQ(serial, sharded)
-        << "selection=" << SelectionStrategyName(sel);
-  }
 }
 
 // --- MultiEngine fan-out ---------------------------------------------------
@@ -340,7 +182,7 @@ TEST(ParallelMultiEngineTest, ParallelFanOutMatchesSerial) {
     for (const char* q : queries) {
       // Each query needs a shedder: the max_runs safety valve (which keeps
       // the Kleene query's state bounded) only fires when one is attached.
-      multi.AddQuery(fixture.Compile(q), DeterminismOptions(0, 0, false),
+      multi.AddQuery(fixture.Compile(q), DeterminismOptions(),
                      std::make_unique<StateShedder>(StateShedderOptions{},
                                                     &fixture.registry));
     }
@@ -371,7 +213,7 @@ TEST(ParallelMultiEngineTest, BatchFanOutMatchesEventFanOut) {
     multi.AddQuery(
         fixture.Compile(
             "PATTERN SEQ(req a, unlock c) WHERE c.uid = a.uid WITHIN 1 hour"),
-        DeterminismOptions(0, 0, false));
+        DeterminismOptions());
     multi.EnableParallel(2);
     if (batched) {
       VectorEventStream stream(events);

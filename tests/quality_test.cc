@@ -16,6 +16,7 @@
 
 #include "ckpt/io.h"
 #include "common/time.h"
+#include "engine/multi.h"
 #include "engine/shadow.h"
 #include "obs/metrics.h"
 #include "obs/quality.h"
@@ -377,25 +378,30 @@ TEST_F(ShadowOracleTest, SamplingSkipsUnselectedSpans) {
   EXPECT_DOUBLE_EQ(shadow->LifetimeRecall().center, 1.0);
 }
 
-// --- determinism across parallelism -----------------------------------------
+// --- determinism across fan-out --------------------------------------------
 
 TEST_F(ShadowOracleTest, QualityExportsByteIdenticalAcrossThreadsAndShards) {
+  // Threads is the MultiEngine fan-out width; shards is the number of
+  // engines (copies of one shadowed engine) each event is split over. Query
+  // 0's quality and metrics exports must not depend on either.
   const NfaPtr nfa = CompileQuery();
   const std::vector<EventPtr> events = MakeStream(8);
+  EngineOptions options = QualityOptions();
+  options.max_runs = 4;
+  options.shed_amount.fraction = 0.5;
 
   std::string reference;
   for (const size_t threads : {1, 4}) {
-    for (const size_t shards : {1, 8}) {
-      EngineOptions options = QualityOptions();
-      options.max_runs = 4;
-      options.shed_amount.fraction = 0.5;
-      options.parallel.threads = threads;
-      options.parallel.shards = shards;
-      options.parallel.min_parallel_runs = 1;
-      Engine engine(nfa, options, std::make_unique<RandomShedder>(5));
-      for (const auto& event : events) {
-        CEP_ASSERT_OK(engine.ProcessEvent(event));
+    for (const size_t shards : {1, 4}) {
+      MultiEngine multi;
+      for (size_t i = 0; i < shards; ++i) {
+        multi.AddQuery(nfa, options, std::make_unique<RandomShedder>(5));
       }
+      multi.EnableParallel(threads);
+      for (const auto& event : events) {
+        CEP_ASSERT_OK(multi.ProcessEvent(event));
+      }
+      Engine& engine = multi.engine(0);
       CEP_ASSERT_OK(engine.Flush());
       engine.FinishShadowSpan();
       obs::Registry registry;

@@ -1,8 +1,8 @@
 #!/bin/sh
 # End-to-end chaos test for cepshed_server (docs/SERVICE.md).
 #
-# Baseline: serve two tenants (one with a threads/shards engine, one with
-# SBLS shedding) to completion and drain via SIGTERM. Chaos: same streams,
+# Baseline: serve two tenants (one unshed engine, one with SBLS
+# shedding) to completion and drain via SIGTERM. Chaos: same streams,
 # but the server is SIGKILLed mid-stream, restarted (crash recovery from
 # WAL + snapshots), the clients resume with --resume, and the final SIGTERM
 # drain must produce byte-identical matches, metrics, and audit artifacts
@@ -28,8 +28,8 @@ awk 'BEGIN { for (i = 1; i <= 800; i++) print "req," i*2000 "," i%5 "," i }' \
 echo 'PATTERN SEQ(req a, req b) WHERE a.loc = b.loc WITHIN 1 min' \
     > "$WORKDIR/q.sase"
 
-# Tenant A exercises the parallel engine, tenant B latency-triggered SBLS.
-A_OPTS='theta=0 threads=3 shards=2 maxruns=64'
+# Tenant A runs without a shedder, tenant B with latency-triggered SBLS.
+A_OPTS='theta=0 maxruns=64'
 B_OPTS='theta=50 shedder=sbls hash=req:loc slices=16 seed=11'
 
 start_server() {

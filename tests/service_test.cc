@@ -13,6 +13,7 @@
 #include "ckpt/manager.h"
 #include "event/csv.h"
 #include "obs/metrics.h"
+#include "opt/fingerprint.h"
 #include "service/framing.h"
 #include "service/quota.h"
 #include "service/tenant.h"
@@ -412,7 +413,7 @@ TEST(ParseKvSpecTest, RejectsDuplicatesAndMalformedTokens) {
 }
 
 TEST(MakeEngineOptionsFromSpecTest, EnforcesServiceInvariants) {
-  const auto kv = service::ParseKvSpec("theta=80 threads=3").ValueOrDie();
+  const auto kv = service::ParseKvSpec("theta=80").ValueOrDie();
   const auto options =
       service::MakeEngineOptionsFromSpec(kv, /*default_theta=*/50,
                                          /*quota_bytes=*/4096)
@@ -420,7 +421,6 @@ TEST(MakeEngineOptionsFromSpecTest, EnforcesServiceInvariants) {
   EXPECT_EQ(options.latency_mode, LatencyMode::kVirtualCost);
   EXPECT_TRUE(options.collect_matches);
   EXPECT_EQ(options.latency_threshold_micros, 80.0);
-  EXPECT_EQ(options.parallel.threads, 3u);
   EXPECT_TRUE(options.degradation.enabled);
   EXPECT_EQ(options.degradation.run_bytes_budget, 4096u);
   // Tenant default θ applies when the spec names none.
@@ -434,6 +434,25 @@ TEST(MakeEngineOptionsFromSpecTest, EnforcesServiceInvariants) {
       service::MakeEngineOptionsFromSpec(
           service::ParseKvSpec("selection=7").ValueOrDie(), 0, 0)
           .ok());
+}
+
+TEST(MakeEngineOptionsFromSpecTest, IgnoresRetiredParallelKeys) {
+  // Tenant meta files persisted with the retired intra-engine parallelism
+  // keys must still recover, into exactly the options they build without.
+  auto build = [](const char* spec) {
+    return service::MakeEngineOptionsFromSpec(
+               service::ParseKvSpec(spec).ValueOrDie(), 50, 4096)
+        .ValueOrDie();
+  };
+  const EngineOptions plain = build("theta=80 maxruns=64 arena=16 batch=8");
+  const EngineOptions retired = build(
+      "theta=80 maxruns=64 arena=16 batch=8 threads=3 shards=2 "
+      "minparallel=4");
+  EXPECT_EQ(opt::FingerprintEngineOptions(retired),
+            opt::FingerprintEngineOptions(plain));
+  EXPECT_EQ(retired.arena_block_runs, plain.arena_block_runs);
+  EXPECT_EQ(retired.batch_size, plain.batch_size);
+  EXPECT_EQ(retired.checkpoint.directory, plain.checkpoint.directory);
 }
 
 }  // namespace

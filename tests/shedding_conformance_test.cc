@@ -5,9 +5,10 @@
 //  1. Determinism      — two identical serial runs produce byte-identical
 //                        artifacts (matches, metrics, audit JSONL, final
 //                        snapshot bytes).
-//  2. Thread identity  — 1 thread/1 shard vs 4 threads/8 shards produce
-//                        byte-identical artifacts (the decide+apply split
-//                        guarantees all shedder hooks run serially).
+//  2. Thread identity  — the strategy's engine run alone and as one of 1 or
+//                        4 engines on a 1- or 4-thread MultiEngine fan-out
+//                        produces byte-identical artifacts (engines share
+//                        no mutable state; each evaluates serially).
 //  3. Resume identity  — checkpoint mid-stream (while shed episodes are
 //                        firing), restore into a fresh engine, replay the
 //                        tail: final artifacts are byte-identical.
@@ -24,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "engine/multi.h"
 #include "obs/audit.h"
 #include "shedding/hybrid_shedder.h"
 #include "shedding/registry.h"
@@ -86,16 +88,13 @@ std::vector<EventPtr> MakeStream(BikeSchema* schema, int num_events) {
   return events;
 }
 
-EngineOptions ConformanceOptions(size_t threads, size_t shards) {
+EngineOptions ConformanceOptions() {
   EngineOptions options;
   options.latency_mode = LatencyMode::kVirtualCost;
   options.latency_threshold_micros = 50.0;
   options.max_runs = 24;  // deterministic shed trigger on top of θ
   options.shed_amount.fraction = 0.4;
   options.shed_cooldown_events = 8;
-  options.parallel.threads = threads;
-  options.parallel.shards = shards;
-  options.parallel.min_parallel_runs = 4;
   return options;
 }
 
@@ -111,18 +110,40 @@ struct Artifacts {
 /// Runs the stream through one engine; optionally snapshots after
 /// `checkpoint_at` events (into *checkpoint) or restores from *restore
 /// before processing. Verifies run conservation at every step.
-Artifacts RunStream(BikeSchema* schema, const NfaPtr& nfa,
-                    const std::string& strategy,
-                    const std::vector<EventPtr>& events, size_t threads,
-                    size_t shards, size_t checkpoint_at = 0,
-                    std::string* checkpoint = nullptr,
-                    const std::string* restore = nullptr) {
+ShedderPtr MakeStrategy(BikeSchema* schema, const std::string& strategy) {
   ShedderEnv env;
   env.schema = &schema->registry;
   auto shedder = ShedderRegistry::Make(SpecFor(strategy), env);
   EXPECT_TRUE(shedder.ok()) << shedder.status().ToString();
-  Engine engine(nfa, ConformanceOptions(threads, shards),
-                shedder.MoveValueUnsafe());
+  return shedder.ok() ? shedder.MoveValueUnsafe() : nullptr;
+}
+
+/// Flushes `engine` and collects its artifacts.
+Artifacts Collect(Engine& engine, const obs::ShedAuditLog& audit) {
+  const Status st = engine.Flush();
+  EXPECT_TRUE(st.ok()) << st.ToString();
+
+  Artifacts artifacts;
+  for (const Match& m : engine.matches()) {
+    artifacts.fingerprints.push_back(m.fingerprint);
+  }
+  artifacts.metrics = engine.metrics().ToString();
+  artifacts.audit_jsonl = audit.ToJsonl();
+  auto snap = engine.SerializeSnapshot();
+  EXPECT_TRUE(snap.ok()) << snap.status().ToString();
+  artifacts.snapshot = snap.MoveValueUnsafe();
+  artifacts.runs_shed = engine.metrics().runs_shed;
+  artifacts.events_dropped = engine.metrics().events_dropped;
+  return artifacts;
+}
+
+Artifacts RunStream(BikeSchema* schema, const NfaPtr& nfa,
+                    const std::string& strategy,
+                    const std::vector<EventPtr>& events,
+                    size_t checkpoint_at = 0,
+                    std::string* checkpoint = nullptr,
+                    const std::string* restore = nullptr) {
+  Engine engine(nfa, ConformanceOptions(), MakeStrategy(schema, strategy));
   obs::ShedAuditLog audit(1 << 12);
   engine.AttachAuditLog(&audit);
 
@@ -146,21 +167,30 @@ Artifacts RunStream(BikeSchema* schema, const NfaPtr& nfa,
       *checkpoint = snap.MoveValueUnsafe();
     }
   }
-  const Status st = engine.Flush();
-  EXPECT_TRUE(st.ok()) << st.ToString();
+  return Collect(engine, audit);
+}
 
-  Artifacts artifacts;
-  for (const Match& m : engine.matches()) {
-    artifacts.fingerprints.push_back(m.fingerprint);
+/// Runs the stream through `shards` copies of the strategy's engine, which
+/// a MultiEngine fans out on a `threads`-wide pool, and returns query 0's
+/// artifacts. Each copy has its own audit log: a shared one would
+/// interleave concurrent appends.
+Artifacts RunFannedOut(BikeSchema* schema, const NfaPtr& nfa,
+                       const std::string& strategy,
+                       const std::vector<EventPtr>& events, size_t threads,
+                       size_t shards) {
+  MultiEngine multi;
+  std::vector<std::unique_ptr<obs::ShedAuditLog>> audits;
+  for (size_t i = 0; i < shards; ++i) {
+    multi.AddQuery(nfa, ConformanceOptions(), MakeStrategy(schema, strategy));
+    audits.push_back(std::make_unique<obs::ShedAuditLog>(1 << 12));
+    multi.engine(i).AttachAuditLog(audits.back().get());
   }
-  artifacts.metrics = engine.metrics().ToString();
-  artifacts.audit_jsonl = audit.ToJsonl();
-  auto snap = engine.SerializeSnapshot();
-  EXPECT_TRUE(snap.ok()) << snap.status().ToString();
-  artifacts.snapshot = snap.MoveValueUnsafe();
-  artifacts.runs_shed = engine.metrics().runs_shed;
-  artifacts.events_dropped = engine.metrics().events_dropped;
-  return artifacts;
+  multi.EnableParallel(threads);
+  for (const EventPtr& event : events) {
+    const Status st = multi.OfferEvent(event);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+  return Collect(multi.engine(0), *audits[0]);
 }
 
 class StrategyConformance : public ::testing::TestWithParam<std::string> {
@@ -178,8 +208,8 @@ TEST_P(StrategyConformance, DeterministicAtFixedSeed) {
   NfaPtr nfa = schema_.Compile(kQuery);
   ASSERT_NE(nfa, nullptr);
   const std::vector<EventPtr> events = MakeStream(&schema_, 240);
-  const Artifacts a = RunStream(&schema_, nfa, GetParam(), events, 0, 0);
-  const Artifacts b = RunStream(&schema_, nfa, GetParam(), events, 0, 0);
+  const Artifacts a = RunStream(&schema_, nfa, GetParam(), events);
+  const Artifacts b = RunStream(&schema_, nfa, GetParam(), events);
   EXPECT_EQ(a.fingerprints, b.fingerprints);
   EXPECT_EQ(a.metrics, b.metrics);
   EXPECT_EQ(a.audit_jsonl, b.audit_jsonl);
@@ -187,16 +217,26 @@ TEST_P(StrategyConformance, DeterministicAtFixedSeed) {
 }
 
 TEST_P(StrategyConformance, ArtifactsIdenticalAcrossThreadsAndShards) {
+  // Threads is the MultiEngine fan-out width; shards is the number of
+  // engines (copies of this strategy's engine) each event is split over.
+  // The engine's artifacts must match a standalone run in every
+  // configuration.
   NfaPtr nfa = schema_.Compile(kQuery);
   ASSERT_NE(nfa, nullptr);
   const std::vector<EventPtr> events = MakeStream(&schema_, 240);
-  const Artifacts serial = RunStream(&schema_, nfa, GetParam(), events, 1, 1);
-  const Artifacts parallel =
-      RunStream(&schema_, nfa, GetParam(), events, 4, 8);
-  EXPECT_EQ(serial.fingerprints, parallel.fingerprints);
-  EXPECT_EQ(serial.metrics, parallel.metrics);
-  EXPECT_EQ(serial.audit_jsonl, parallel.audit_jsonl);
-  EXPECT_EQ(serial.snapshot, parallel.snapshot);
+  const Artifacts alone = RunStream(&schema_, nfa, GetParam(), events);
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    for (const size_t shards : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE(testing::Message()
+                   << "threads=" << threads << " shards=" << shards);
+      const Artifacts fanned =
+          RunFannedOut(&schema_, nfa, GetParam(), events, threads, shards);
+      EXPECT_EQ(alone.fingerprints, fanned.fingerprints);
+      EXPECT_EQ(alone.metrics, fanned.metrics);
+      EXPECT_EQ(alone.audit_jsonl, fanned.audit_jsonl);
+      EXPECT_EQ(alone.snapshot, fanned.snapshot);
+    }
+  }
 }
 
 TEST_P(StrategyConformance, CheckpointRestoreMidShedEpisodeByteIdentical) {
@@ -204,12 +244,11 @@ TEST_P(StrategyConformance, CheckpointRestoreMidShedEpisodeByteIdentical) {
   ASSERT_NE(nfa, nullptr);
   const std::vector<EventPtr> events = MakeStream(&schema_, 240);
   std::string checkpoint;
-  const Artifacts full = RunStream(&schema_, nfa, GetParam(), events, 0, 0,
+  const Artifacts full = RunStream(&schema_, nfa, GetParam(), events,
                                    /*checkpoint_at=*/120, &checkpoint);
   ASSERT_FALSE(checkpoint.empty());
   const Artifacts resumed =
-      RunStream(&schema_, nfa, GetParam(), events, 0, 0, 0, nullptr,
-                &checkpoint);
+      RunStream(&schema_, nfa, GetParam(), events, 0, nullptr, &checkpoint);
   EXPECT_EQ(full.fingerprints, resumed.fingerprints);
   EXPECT_EQ(full.metrics, resumed.metrics);
   EXPECT_EQ(full.audit_jsonl, resumed.audit_jsonl);
@@ -222,7 +261,7 @@ TEST_P(StrategyConformance, RunConservationUnderSustainedShedding) {
   NfaPtr nfa = schema_.Compile(kQuery);
   ASSERT_NE(nfa, nullptr);
   const std::vector<EventPtr> events = MakeStream(&schema_, 240);
-  const Artifacts a = RunStream(&schema_, nfa, GetParam(), events, 0, 0);
+  const Artifacts a = RunStream(&schema_, nfa, GetParam(), events);
   const std::string& name = GetParam();
   if (name == "rbls" || name == "ttl" || name == "sbls" ||
       name == "pspice" || name == "hybrid") {

@@ -79,7 +79,7 @@ int Usage() {
       "         [--error-budget <n-consecutive>]\n"
       "         [--fault-drop <p>] [--fault-dup <p>] [--fault-delay <p>]\n"
       "         [--fault-corrupt <p>] [--fault-seed <n>]\n"
-      "         [--threads <n>] [--batch-size <n>]\n"
+      "         [--threads <n> (--queries mode)] [--batch-size <n>]\n"
       "         [--checkpoint-dir <dir>] [--checkpoint-interval-events <n>]\n"
       "         [--checkpoint-keep <n>] [--checkpoint-sync]\n"
       "         [--restore-from <file|dir>]\n"
@@ -442,6 +442,13 @@ Status RunMultiCommand(const Args& args) {
 
 Status RunCommand(const Args& args) {
   if (args.Has("queries")) return RunMultiCommand(args);
+  // One query is evaluated in one serial pass per event; threads fan out
+  // across the queries of --queries mode only.
+  if (args.GetInt("threads", 0) > 1) {
+    return Status::InvalidArgument(
+        "--threads > 1 requires --queries: threads run the queries of a "
+        "--queries file concurrently; a single query is evaluated serially");
+  }
   SchemaRegistry registry;
   CEP_RETURN_NOT_OK(LoadSchema(args.Get("schema"), &registry));
   CEP_ASSIGN_OR_RETURN(NfaPtr nfa, CompileQuery(args.Get("query"), registry));
@@ -462,10 +469,6 @@ Status RunCommand(const Args& args) {
   options.shed_amount.fraction = args.GetDouble("fraction", 0.2);
   options.max_runs = static_cast<size_t>(args.GetInt("max-runs", 0));
   options.collect_matches = false;
-  // Parallel evaluation core: shard runs across a worker pool. Results are
-  // bit-identical to --threads 1 for any thread count (see
-  // docs/PARALLELISM.md).
-  options.parallel.threads = static_cast<size_t>(args.GetInt("threads", 0));
   if (resilience) {
     options.degradation.enabled = true;
     options.degradation.run_bytes_budget =
@@ -511,7 +514,7 @@ Status RunCommand(const Args& args) {
   Engine engine(nfa, options, std::move(shedder));
   // Observability sinks. Exports use the engine's virtual busy clock (the
   // default latency mode), so for a fixed input and seed they are
-  // byte-identical across --threads settings.
+  // byte-identical across runs.
   obs::ShedAuditLog audit_log;
   if (args.Has("audit-out")) engine.AttachAuditLog(&audit_log);
   obs::Tracer tracer;

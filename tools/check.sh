@@ -4,16 +4,19 @@
 #      the fault-injection and resilience paths), plus the fuzz corpus
 #      replays and a differential stress sweep (docs/FUZZING.md).
 #   2. build-tsan/      — ThreadSanitizer, the Parallel* suites (data-race
-#      coverage for the worker pool, run sharding, and MultiEngine fan-out).
+#      coverage for the worker pool and MultiEngine fan-out across queries).
 #   3. build-release/   — -O2 -DNDEBUG, full test suite (assert-free paths),
 #      a bench_micro_engine throughput smoke that fails on a >20%
 #      single-thread regression vs the committed BENCH_parallel.json, and
 #      the bench_suite shedding-quality smoke (schema-checked output,
 #      shadow-recall accuracy gate, coarse throughput floor vs the
 #      committed BENCH_suite.json).
-# Each build also runs the CLI on an example workload with the observability
-# exports enabled and validates them with validate_obs (schema regressions
-# and instrumentation races surface here), then writes checkpoints and
+# Each build is configured with -DCEPSHED_WERROR=ON (warnings fail the
+# build). Each build also runs the CLI on an example workload with the
+# observability exports enabled, once for a single query and once for a
+# query set fanned out over four threads, and validates them with
+# validate_obs (schema regressions, and races on the tracer and audit log
+# shared across engines, surface here), then writes checkpoints and
 # verifies them with ckpt_tool (snapshot CRC/format coverage under both
 # sanitizers), and runs the service-mode chaos harness (SIGKILL + resume)
 # with a server-vs-in-process differential sweep. The ASan and TSan passes
@@ -40,8 +43,9 @@ configure() {
 }
 
 # obs_check BUILD_DIR — generate a workload, run it with every observability
-# export enabled (threads >1 so instrumentation runs under the sanitizer's
-# eye), and validate the output files.
+# export enabled, and validate the output files. The second run fans a query
+# set out over a 4-thread MultiEngine pool, so the shared tracer and audit
+# log record concurrently under the sanitizer's eye.
 obs_check() {
   OBS_DIR="$(mktemp -d)"
   Q='PATTERN SEQ(req a, unlock c) WHERE c.uid = a.uid WITHIN 5 min RETURN w(loc = a.loc, user = a.uid)'
@@ -49,7 +53,7 @@ obs_check() {
       --duration-hours 1 --seed 7 > /dev/null
   "$1/tools/cepshed_cli" run --schema bike --query "$Q" \
       --input "$OBS_DIR/bike.csv" --shedder sbls --max-runs 5 \
-      --hash req:loc --threads 4 \
+      --hash req:loc \
       --shadow-sample 1 --calibration --slo-budget 0.01 \
       --metrics-out "$OBS_DIR/metrics.prom" \
       --trace-out "$OBS_DIR/trace.json" \
@@ -59,6 +63,21 @@ obs_check() {
   "$1/tools/validate_obs" trace "$OBS_DIR/trace.json"
   "$1/tools/validate_obs" audit "$OBS_DIR/audit.jsonl"
   "$1/tools/validate_obs" quality "$OBS_DIR/quality.json"
+  cat > "$OBS_DIR/queries.txt" <<'EOF'
+PATTERN SEQ(req a, unlock c) WHERE c.uid = a.uid WITHIN 5 min
+PATTERN SEQ(req a, avail b) WHERE b.loc = a.loc WITHIN 2 min
+PATTERN SEQ(avail a, unlock c) WHERE c.loc = a.loc WITHIN 5 min
+PATTERN SEQ(req a, req b) WHERE b.loc = a.loc WITHIN 1 min
+EOF
+  "$1/tools/cepshed_cli" run --schema bike --queries "$OBS_DIR/queries.txt" \
+      --input "$OBS_DIR/bike.csv" --shedder sbls --max-runs 5 \
+      --hash req:loc --threads 4 \
+      --metrics-out "$OBS_DIR/multi.prom" \
+      --trace-out "$OBS_DIR/multi_trace.json" \
+      --audit-out "$OBS_DIR/multi_audit.jsonl" > /dev/null
+  "$1/tools/validate_obs" metrics-prom "$OBS_DIR/multi.prom"
+  "$1/tools/validate_obs" trace "$OBS_DIR/multi_trace.json"
+  "$1/tools/validate_obs" audit "$OBS_DIR/multi_audit.jsonl"
   rm -rf "$OBS_DIR"
 }
 
@@ -72,7 +91,7 @@ ckpt_check() {
       --duration-hours 1 --seed 7 > /dev/null
   "$1/tools/cepshed_cli" run --schema bike --query "$Q" \
       --input "$CKPT_DIR/bike.csv" --shedder sbls --max-runs 5 \
-      --hash req:loc --threads 4 \
+      --hash req:loc \
       --checkpoint-dir "$CKPT_DIR/ckpts" \
       --checkpoint-interval-events 500 > /dev/null
   "$1/tools/ckpt_tool" verify "$CKPT_DIR/ckpts"
@@ -174,7 +193,7 @@ opt_check() {
 # multiquery_check BUILD_DIR CONFIGS — differential multi-query sweep: for
 # each random config the optimized MultiEngine (CSE + merge + pushdown) must
 # produce byte-identical per-query match fingerprints vs the unoptimized
-# one, across the thread/shard grid, batch feeding, and checkpoint-resume.
+# one, across fan-out thread counts, batch feeding, and checkpoint-resume.
 multiquery_check() {
   "$1/tools/stress_engine" --multiquery --configs "$2" --seed 9
 }
@@ -201,13 +220,14 @@ BUILD="$ROOT/build-sanitize"
 configure "$BUILD" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCEPSHED_SANITIZE=address \
+    -DCEPSHED_WERROR=ON \
     -DCEPSHED_FUZZ=ON \
     -DCEPSHED_BUILD_BENCHMARKS=OFF \
     -DCEPSHED_BUILD_EXAMPLES=OFF
 cmake --build "$BUILD" -j "$JOBS"
 (cd "$BUILD" && ctest --output-on-failure -j "$JOBS" "$@")
 # The strategy-conformance suite (every registered shedder: determinism,
-# thread/shard artifact identity, checkpoint-resume byte identity, run
+# artifact identity on a fan-out pool, checkpoint-resume byte identity, run
 # conservation) runs explicitly under ASan+UBSan so that user-filtered
 # ctest args above cannot skip it.
 (cd "$BUILD" && ctest --output-on-failure -j "$JOBS" \
@@ -223,6 +243,7 @@ TSAN_BUILD="$ROOT/build-tsan"
 configure "$TSAN_BUILD" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCEPSHED_SANITIZE=thread \
+    -DCEPSHED_WERROR=ON \
     -DCEPSHED_BUILD_BENCHMARKS=OFF \
     -DCEPSHED_BUILD_EXAMPLES=OFF
 cmake --build "$TSAN_BUILD" -j "$JOBS"
@@ -240,6 +261,7 @@ REL_BUILD="$ROOT/build-release"
 configure "$REL_BUILD" \
     -DCMAKE_BUILD_TYPE=Release \
     -DCMAKE_CXX_FLAGS_RELEASE="-O2 -DNDEBUG" \
+    -DCEPSHED_WERROR=ON \
     -DCEPSHED_BUILD_BENCHMARKS=ON \
     -DCEPSHED_BUILD_EXAMPLES=OFF
 cmake --build "$REL_BUILD" -j "$JOBS"

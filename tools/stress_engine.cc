@@ -1,20 +1,17 @@
 // Deterministic differential stress driver (docs/FUZZING.md).
 //
-// Generates seeded random (query x stream x shedder x threads/shards x
+// Generates seeded random (query x stream x shedder x batch/arena x
 // checkpoint-interval) configurations and cross-checks, per configuration:
 //
 //  1. Oracle equality   — with shedding off, small stream, and
 //                         skip-till-any-match, the engine's match
 //                         fingerprints equal the brute-force oracle's
 //                         (tests/oracle.cc, exhaustive recursion; no NFA).
-//  2. Thread determinism — matches, metrics, audit JSONL, and the final
-//                         snapshot bytes are identical between the serial
-//                         engine and a multi-thread/multi-shard engine.
-//  3. Checkpoint resume — serializing mid-stream, restoring into a fresh
+//  2. Checkpoint resume — serializing mid-stream, restoring into a fresh
 //                         engine, and replaying the tail yields the same
 //                         final snapshot bytes and matches as the
 //                         uninterrupted run.
-//  4. Run conservation  — Engine::VerifyInvariants holds at every merge
+//  3. Run conservation  — Engine::VerifyInvariants holds at every merge
 //                         barrier, and the same ledger recomputed from the
 //                         observability registry export balances; audit-log
 //                         victims are a subset of shed-callback victims and
@@ -98,8 +95,6 @@ struct StressConfig {
   SelectionStrategy selection = SelectionStrategy::kSkipTillAnyMatch;
   std::string shedder = "none";
   size_t max_runs = 0;      ///< deterministic shed trigger (0 = off)
-  size_t threads = 2;       ///< parallel engine's lanes
-  size_t shards = 0;        ///< 0 = one per lane
   size_t batch = 1;
   size_t arena_block = 0;
   size_t checkpoint_at = 0; ///< event index for the mid-stream snapshot
@@ -109,11 +104,11 @@ struct StressConfig {
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "config #%llu: query=%d events=%d selection=%d shedder=%s "
-                  "max_runs=%zu threads=%zu shards=%zu batch=%zu arena=%zu "
+                  "max_runs=%zu batch=%zu arena=%zu "
                   "ckpt@%zu giant_ts=%d stream_seed=%llu",
                   static_cast<unsigned long long>(ordinal), query, num_events,
                   static_cast<int>(selection), shedder.c_str(),
-                  max_runs, threads, shards, batch, arena_block, checkpoint_at,
+                  max_runs, batch, arena_block, checkpoint_at,
                   giant_timestamps ? 1 : 0,
                   static_cast<unsigned long long>(stream_seed));
     return buf;
@@ -211,8 +206,10 @@ StressConfig MakeConfig(uint64_t seed, uint64_t ordinal) {
   if (c.shedder != "none" && rng.NextBounded(2) == 0) {
     c.max_runs = 8 + rng.NextBounded(24);
   }
-  c.threads = 2 + rng.NextBounded(3);
-  c.shards = rng.NextBounded(4);  // 0 = per-lane
+  // Two draws for axes this sweep no longer has; kept so a seed still
+  // names the same configs.
+  (void)rng.NextBounded(3);
+  (void)rng.NextBounded(4);
   c.batch = 1 + rng.NextBounded(8);
   c.arena_block = rng.NextBounded(2) == 0 ? 0 : 64;
   c.checkpoint_at = 1 + rng.NextBounded(static_cast<uint64_t>(c.num_events));
@@ -220,7 +217,7 @@ StressConfig MakeConfig(uint64_t seed, uint64_t ordinal) {
   return c;
 }
 
-EngineOptions MakeOptions(const StressConfig& config, bool parallel,
+EngineOptions MakeOptions(const StressConfig& config,
                           bool with_quality = false) {
   EngineOptions options;
   options.selection = config.selection;
@@ -232,12 +229,7 @@ EngineOptions MakeOptions(const StressConfig& config, bool parallel,
     // Latency-triggered shedding with a deterministic virtual clock.
     options.latency_threshold_micros = 50.0;
   }
-  options.parallel.threads = parallel ? config.threads : 0;
-  options.parallel.shards = parallel ? config.shards : 0;
-  // Force the sharded evaluation path even on small run sets — the whole
-  // point is to diff it against the serial engine.
-  options.parallel.min_parallel_runs = 4;
-  options.parallel.arena_block_runs = config.arena_block;
+  options.arena_block_runs = config.arena_block;
   options.batch_size = config.batch;
   if (with_quality) {
     // The --shadow axis: every span mirrored, with a small ghost cap so the
@@ -288,7 +280,6 @@ struct RunArtifacts {
   std::string metrics;
   std::string snapshot;     ///< final snapshot bytes (full durable state)
   std::string audit_jsonl;
-  std::string quality;      ///< ExportQualityJson (empty object when off)
   std::vector<uint64_t> callback_victims;  ///< run ids via SetShedCallback
   uint64_t audit_appended = 0;
 };
@@ -344,12 +335,12 @@ bool RegistryInvariant(Engine& engine, const StressConfig& config,
 /// Runs `events` through one engine configuration; `restore_from` (when
 /// non-null) seeds the engine from a snapshot and skips the consumed prefix.
 bool RunEngine(const Fixture& fixture, const NfaPtr& nfa,
-               const StressConfig& config, bool parallel,
+               const StressConfig& config,
                const std::vector<EventPtr>& events,
                const std::string* restore_from, size_t* checkpoint_at,
                std::string* checkpoint_bytes, RunArtifacts* out,
                std::vector<Failure>* failures, bool with_quality = false) {
-  Engine engine(nfa, MakeOptions(config, parallel, with_quality),
+  Engine engine(nfa, MakeOptions(config, with_quality),
                 MakeShedder(config, fixture.registry()));
   obs::ShedAuditLog audit(1 << 12);
   engine.AttachAuditLog(&audit);
@@ -411,7 +402,6 @@ bool RunEngine(const Fixture& fixture, const NfaPtr& nfa,
   }
   artifacts.metrics = engine.metrics().ToString();
   artifacts.audit_jsonl = audit.ToJsonl();
-  artifacts.quality = engine.ExportQualityJson();
   auto snapshot = engine.SerializeSnapshot();
   if (!snapshot.ok()) {
     failures->push_back({config.ToString(), "final snapshot failed: " +
@@ -420,22 +410,6 @@ bool RunEngine(const Fixture& fixture, const NfaPtr& nfa,
   }
   artifacts.snapshot = snapshot.MoveValueUnsafe();
   *out = std::move(artifacts);
-  return true;
-}
-
-bool CompareArtifacts(const RunArtifacts& a, const RunArtifacts& b,
-                      const StressConfig& config, const char* label,
-                      std::vector<Failure>* failures) {
-  STRESS_CHECK(a.fingerprints == b.fingerprints,
-               std::string(label) + ": match fingerprints diverge");
-  STRESS_CHECK(a.metrics == b.metrics,
-               std::string(label) + ": metrics diverge");
-  STRESS_CHECK(a.audit_jsonl == b.audit_jsonl,
-               std::string(label) + ": audit JSONL diverges");
-  STRESS_CHECK(a.callback_victims == b.callback_victims,
-               std::string(label) + ": shed victims diverge");
-  STRESS_CHECK(a.snapshot == b.snapshot,
-               std::string(label) + ": final snapshot bytes diverge");
   return true;
 }
 
@@ -449,13 +423,12 @@ bool RunConfig(const Fixture& fixture, const StressConfig& config,
   }
   const std::vector<EventPtr> events = fixture.MakeStream(config);
 
-  // Serial baseline (A): also produces the mid-stream checkpoint.
+  // Baseline (A): also produces the mid-stream checkpoint.
   size_t checkpoint_at = config.checkpoint_at;
   std::string checkpoint_bytes;
   RunArtifacts serial;
-  if (!RunEngine(fixture, nfa.ValueOrDie(), config, /*parallel=*/false, events,
-                 nullptr, &checkpoint_at, &checkpoint_bytes, &serial,
-                 failures)) {
+  if (!RunEngine(fixture, nfa.ValueOrDie(), config, events, nullptr,
+                 &checkpoint_at, &checkpoint_bytes, &serial, failures)) {
     return false;
   }
 
@@ -477,23 +450,12 @@ bool RunConfig(const Fixture& fixture, const StressConfig& config,
     STRESS_CHECK(actual == expected, "engine disagrees with brute-force oracle");
   }
 
-  // Thread/shard determinism (B).
-  RunArtifacts parallel;
-  if (!RunEngine(fixture, nfa.ValueOrDie(), config, /*parallel=*/true, events,
-                 nullptr, nullptr, nullptr, &parallel, failures)) {
-    return false;
-  }
-  if (!CompareArtifacts(serial, parallel, config, "serial-vs-parallel",
-                        failures)) {
-    return false;
-  }
-
-  // Checkpoint/restore (C): resume the serial config from the mid-stream
-  // snapshot; the tail must reproduce the uninterrupted run byte for byte.
+  // Checkpoint/restore (B): resume from the mid-stream snapshot; the tail
+  // must reproduce the uninterrupted run byte for byte.
   STRESS_CHECK(!checkpoint_bytes.empty(), "mid-stream checkpoint never taken");
   RunArtifacts resumed;
-  if (!RunEngine(fixture, nfa.ValueOrDie(), config, /*parallel=*/false, events,
-                 &checkpoint_bytes, nullptr, nullptr, &resumed, failures)) {
+  if (!RunEngine(fixture, nfa.ValueOrDie(), config, events, &checkpoint_bytes,
+                 nullptr, nullptr, &resumed, failures)) {
     return false;
   }
   // The resumed engine's shed callback only sees post-restore sheds, and the
@@ -507,15 +469,14 @@ bool RunConfig(const Fixture& fixture, const StressConfig& config,
   STRESS_CHECK(resumed.snapshot == serial.snapshot,
                "resume: final snapshot bytes diverge");
 
-  // Shadow non-interference (D, --shadow): a quality-enabled twin must
+  // Shadow non-interference (C, --shadow): a quality-enabled twin must
   // reproduce the baseline's primary artifacts exactly (snapshot bytes
-  // excluded — the quality components add durable sections), and its
-  // quality exports must themselves be thread/shard-deterministic.
+  // excluded — the quality components add durable sections).
   if (shadow_axis) {
     RunArtifacts quality_serial;
-    if (!RunEngine(fixture, nfa.ValueOrDie(), config, /*parallel=*/false,
-                   events, nullptr, nullptr, nullptr, &quality_serial,
-                   failures, /*with_quality=*/true)) {
+    if (!RunEngine(fixture, nfa.ValueOrDie(), config, events, nullptr,
+                   nullptr, nullptr, &quality_serial, failures,
+                   /*with_quality=*/true)) {
       return false;
     }
     STRESS_CHECK(quality_serial.fingerprints == serial.fingerprints,
@@ -526,19 +487,6 @@ bool RunConfig(const Fixture& fixture, const StressConfig& config,
                  "shadow twin: audit JSONL diverges from baseline");
     STRESS_CHECK(quality_serial.callback_victims == serial.callback_victims,
                  "shadow twin: shed victims diverge from baseline");
-
-    RunArtifacts quality_parallel;
-    if (!RunEngine(fixture, nfa.ValueOrDie(), config, /*parallel=*/true,
-                   events, nullptr, nullptr, nullptr, &quality_parallel,
-                   failures, /*with_quality=*/true)) {
-      return false;
-    }
-    if (!CompareArtifacts(quality_serial, quality_parallel, config,
-                          "shadow serial-vs-parallel", failures)) {
-      return false;
-    }
-    STRESS_CHECK(quality_serial.quality == quality_parallel.quality,
-                 "shadow serial-vs-parallel: quality exports diverge");
   }
   return true;
 }
@@ -558,8 +506,7 @@ bool RunConfig(const Fixture& fixture, const StressConfig& config,
 std::string BuildQuerySpec(const StressConfig& config) {
   std::ostringstream spec;
   spec << "selection=" << static_cast<int>(config.selection)
-       << " fraction=0.4 cooldown=8 errorbudget=0 minparallel=4"
-       << " threads=" << config.threads << " shards=" << config.shards
+       << " fraction=0.4 cooldown=8 errorbudget=0"
        << " batch=" << config.batch << " arena=" << config.arena_block;
   if (config.max_runs > 0) spec << " maxruns=" << config.max_runs;
   const bool latency_shed = config.shedder != "none" && config.max_runs == 0;
@@ -718,8 +665,8 @@ bool RunServerConfig(const Fixture& fixture, const StressConfig& config,
 // optimized engine (DSE + cross-query predicate CSE + shared-prefix merging
 // + pushdown) produces byte-identical per-query match fingerprints vs the
 // unoptimized fan-out, that the optimized artifacts (including snapshot
-// bytes) are identical across {1,4} fan-out threads x {1,8} evaluation
-// shards and through batch-at-a-time feeding, and that a mid-stream
+// bytes) are identical across {1,4} fan-out threads and through
+// batch-at-a-time feeding, and that a mid-stream
 // checkpoint/restore of the optimized engine reproduces the uninterrupted
 // run exactly. Shedding stays off on this axis: the optimizer changes cost
 // accounting (skipped events, eliminated edges), so shed decisions — and
@@ -733,7 +680,7 @@ struct MultiArtifacts {
 
 bool RunMulti(const Fixture& fixture, const std::vector<int>& query_ids,
               const StressConfig& config, bool optimize, size_t threads,
-              size_t shards, size_t batch, const std::vector<EventPtr>& events,
+              size_t batch, const std::vector<EventPtr>& events,
               const std::string* restore_from, size_t checkpoint_at,
               std::string* checkpoint_bytes, MultiArtifacts* out,
               std::vector<Failure>* failures) {
@@ -744,8 +691,6 @@ bool RunMulti(const Fixture& fixture, const std::vector<int>& query_ids,
     EngineOptions options;
     options.selection = config.selection;
     options.latency_mode = LatencyMode::kVirtualCost;  // deterministic µ(t)
-    options.parallel.shards = shards > 1 ? shards : 0;
-    options.parallel.min_parallel_runs = 4;
     multi.AddQuery(nfa.MoveValueUnsafe(), options);
   }
   if (threads > 1) multi.EnableParallel(threads);
@@ -818,7 +763,7 @@ bool RunMultiConfig(const Fixture& fixture, const StressConfig& config,
 
   // Unoptimized serial baseline.
   MultiArtifacts baseline;
-  if (!RunMulti(fixture, query_ids, config, /*optimize=*/false, 1, 1, 1,
+  if (!RunMulti(fixture, query_ids, config, /*optimize=*/false, 1, 1,
                 events, nullptr, 0, nullptr, &baseline, failures)) {
     return false;
   }
@@ -826,7 +771,7 @@ bool RunMultiConfig(const Fixture& fixture, const StressConfig& config,
   // Optimized serial run; also takes the mid-stream checkpoint.
   std::string checkpoint_bytes;
   MultiArtifacts optimized;
-  if (!RunMulti(fixture, query_ids, config, /*optimize=*/true, 1, 1, 1,
+  if (!RunMulti(fixture, query_ids, config, /*optimize=*/true, 1, 1,
                 events, nullptr, checkpoint_at, &checkpoint_bytes, &optimized,
                 failures)) {
     return false;
@@ -835,40 +780,32 @@ bool RunMultiConfig(const Fixture& fixture, const StressConfig& config,
                "multiquery: optimized per-query matches diverge from the "
                "unoptimized fan-out");
 
-  // Thread x shard grid: the optimized engine must reproduce its serial
-  // artifacts (including snapshot bytes) on every point, and the
+  // Fan-out threads: the optimized engine must reproduce its serial
+  // artifacts (including snapshot bytes) on a 4-thread pool, and the
   // unoptimized fan-out must stay put too.
-  for (const size_t threads : {size_t{1}, size_t{4}}) {
-    for (const size_t shards : {size_t{1}, size_t{8}}) {
-      if (threads == 1 && shards == 1) continue;
-      MultiArtifacts opt_grid;
-      if (!RunMulti(fixture, query_ids, config, /*optimize=*/true, threads,
-                    shards, 1, events, nullptr, 0, nullptr, &opt_grid,
-                    failures)) {
-        return false;
-      }
-      STRESS_CHECK(opt_grid.per_query == optimized.per_query,
-                   "multiquery: optimized matches diverge across the "
-                   "thread/shard grid");
-      STRESS_CHECK(opt_grid.snapshot == optimized.snapshot,
-                   "multiquery: optimized snapshot bytes diverge across the "
-                   "thread/shard grid");
-      MultiArtifacts unopt_grid;
-      if (!RunMulti(fixture, query_ids, config, /*optimize=*/false, threads,
-                    shards, 1, events, nullptr, 0, nullptr, &unopt_grid,
-                    failures)) {
-        return false;
-      }
-      STRESS_CHECK(unopt_grid.per_query == baseline.per_query,
-                   "multiquery: unoptimized matches diverge across the "
-                   "thread/shard grid");
-    }
+  MultiArtifacts opt_threaded;
+  if (!RunMulti(fixture, query_ids, config, /*optimize=*/true, 4, 1, events,
+                nullptr, 0, nullptr, &opt_threaded, failures)) {
+    return false;
   }
+  STRESS_CHECK(opt_threaded.per_query == optimized.per_query,
+               "multiquery: optimized matches diverge across fan-out threads");
+  STRESS_CHECK(opt_threaded.snapshot == optimized.snapshot,
+               "multiquery: optimized snapshot bytes diverge across fan-out "
+               "threads");
+  MultiArtifacts unopt_threaded;
+  if (!RunMulti(fixture, query_ids, config, /*optimize=*/false, 4, 1, events,
+                nullptr, 0, nullptr, &unopt_threaded, failures)) {
+    return false;
+  }
+  STRESS_CHECK(unopt_threaded.per_query == baseline.per_query,
+               "multiquery: unoptimized matches diverge across fan-out "
+               "threads");
 
   // Batch-at-a-time feeding drives SharedPredTable::BeginBatch.
   MultiArtifacts batched;
   const size_t batch = 2 + config.batch;
-  if (!RunMulti(fixture, query_ids, config, /*optimize=*/true, 1, 1, batch,
+  if (!RunMulti(fixture, query_ids, config, /*optimize=*/true, 1, batch,
                 events, nullptr, 0, nullptr, &batched, failures)) {
     return false;
   }
@@ -881,7 +818,7 @@ bool RunMultiConfig(const Fixture& fixture, const StressConfig& config,
   STRESS_CHECK(!checkpoint_bytes.empty(),
                "multiquery mid-stream checkpoint never taken");
   MultiArtifacts resumed;
-  if (!RunMulti(fixture, query_ids, config, /*optimize=*/true, 1, 1, 1,
+  if (!RunMulti(fixture, query_ids, config, /*optimize=*/true, 1, 1,
                 events, &checkpoint_bytes, 0, nullptr, &resumed, failures)) {
     return false;
   }
@@ -986,8 +923,8 @@ int main(int argc, char** argv) {
   if (multiquery_mode) {
     std::printf(
         "stress_engine: %llu multi-query configs passed (optimized vs "
-        "unoptimized per-query matches byte-identical across the "
-        "thread/shard grid, batch feeding, and checkpoint-resume), seed "
+        "unoptimized per-query matches byte-identical across fan-out "
+        "threads, batch feeding, and checkpoint-resume), seed "
         "%llu\n",
         static_cast<unsigned long long>(configs),
         static_cast<unsigned long long>(seed));
@@ -1004,7 +941,7 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "stress_engine: %llu configs passed (oracle cross-checked on %llu; "
-      "determinism, checkpoint-resume, and run-conservation on all%s), "
+      "checkpoint-resume and run-conservation on all%s), "
       "seed %llu\n",
       static_cast<unsigned long long>(configs),
       static_cast<unsigned long long>(oracle_checked),
